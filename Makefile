@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: ci fmt vet build test race bench bench-short bench-ab experiments \
 	clean-cache fuzz fuzz-smoke mutation-check telemetry-smoke \
 	service-smoke soak soak-smoke soak-fleet doc-lint fusion-smoke \
-	scenario-smoke obs-smoke fleet-smoke
+	scenario-smoke obs-smoke fleet-smoke stress
 
 ci: fmt vet doc-lint build test race fuzz-smoke mutation-check telemetry-smoke \
 	service-smoke obs-smoke soak-smoke fusion-smoke scenario-smoke \
@@ -113,6 +113,18 @@ soak-smoke:
 fleet-smoke:
 	$(GO) test -race -run '^TestFleetSmoke$$' -v ./cmd/isampfleet/ | grep -q 'PASS: TestFleetSmoke'
 
+# Stress (not in ci): the packages whose tests drive live daemons,
+# queues, SSE streams and fleets, run 20 times over under GOMAXPROCS 1,
+# 2 and 4 to shake out ordering and timing assumptions that a single
+# run on a fast host hides (ROADMAP item 1).
+STRESS_PKGS = ./internal/service/ ./internal/fabric/ ./internal/load/ \
+	./internal/obs/ ./cmd/isampload/ ./cmd/isampfleet/
+stress:
+	@for p in 1 2 4; do \
+		echo "stress: GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -count=20 $(STRESS_PKGS) || exit 1; \
+	done
+
 # Fleet soak (not in ci — see BENCHMARKING.md on this host's core count):
 # the self-hosted scaling A/B behind BENCH_PR10.json — the same seeded
 # soak against 1-worker and 4-worker self-hosted fleets, plus a
@@ -167,12 +179,14 @@ scenario-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# The interleaved fused/unfused/reference A/B comparison behind
-# BENCH_PR7.json: same-window per-round ratios, median reported (see
-# BENCHMARKING.md for why separate-run numbers are not comparable on
-# this host).
+# The interleaved fused/unfused/reference A/B comparison (the tool
+# behind the recorded BENCH_PR7.json): same-window per-round ratios,
+# median reported (see BENCHMARKING.md for why separate-run numbers are
+# not comparable on this host). The report lands in the gitignored
+# .bench_build/ so a rerun never overwrites the historical snapshot.
 bench-ab:
-	$(GO) run ./cmd/benchab -o BENCH_PR7.json
+	@mkdir -p .bench_build
+	$(GO) run ./cmd/benchab -o .bench_build/benchab.json
 
 # One iteration of every benchmark: a smoke test that the bench harness
 # itself stays green, cheap enough for ci.

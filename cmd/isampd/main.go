@@ -21,8 +21,13 @@
 //	DELETE /v1/jobs/{id}        cancel (stops within one observation interval)
 //	GET    /v1/obs              observability mode and span-ring accounting
 //	PUT    /v1/obs              flip the mode at runtime: {"mode":"off|spans|full"}
+//	GET    /v1/cas/{addr}       read the result cache by content address
+//	PUT    /v1/cas/{addr}       replicate a result (integrity-checked)
 //	GET    /healthz             liveness and drain state
 //	GET    /metrics             Prometheus text exposition
+//
+// The HTTP surface is internal/service's job front door, the same one
+// isampfleet serves; isampd puts its local worker pool behind it.
 //
 // SIGTERM/SIGINT starts the graceful drain (DESIGN.md §10): submissions
 // get 503, in-flight jobs get the -drain budget to finish, stragglers

@@ -1,8 +1,10 @@
 // Command isampfleet is the distributed experiment fabric's coordinator:
-// it fronts a fleet of isampd workers behind the exact single-daemon
-// POST /v1/jobs surface, adding cluster-wide single-flight, rendezvous
-// sharding with work stealing, propagated backpressure, and a network
-// content-addressed result store shared by every node (DESIGN.md §15).
+// it serves isampd's own job front door (internal/service — the same
+// handlers, job documents and SSE streams) over a fleet of isampd
+// workers instead of a local pool, adding cluster-wide single-flight,
+// rendezvous sharding with work stealing, propagated backpressure, and
+// a network content-addressed result store shared by every node
+// (DESIGN.md §15).
 //
 //	isampfleet -config fleet.json                # coordinate the fleet
 //	isampfleet -worker http://h1:8347 \
@@ -13,8 +15,11 @@
 //
 //	POST   /v1/jobs             submit (dedup, shard, 429 + Retry-After)
 //	GET    /v1/jobs/{id}        job status, result, attribution ledger
-//	GET    /v1/jobs/{id}/events proxied live metrics stream (SSE)
+//	GET    /v1/jobs/{id}/events relayed live metrics stream (SSE)
+//	GET    /v1/jobs/{id}/trace  the coordinator-side span chain (Chrome trace)
 //	DELETE /v1/jobs/{id}        cancel (duplicates detach; last rider aborts)
+//	GET    /v1/obs              observability mode and span-ring accounting
+//	PUT    /v1/obs              flip the mode at runtime: {"mode":"off|spans|full"}
 //	GET    /v1/cas/{addr}       read the coordinator's CAS replica
 //	PUT    /v1/cas/{addr}       replicate a result (integrity-checked)
 //	GET    /healthz             fleet state: per-worker health + accounting
@@ -48,6 +53,7 @@ import (
 	"instrsample/internal/experiment"
 	"instrsample/internal/fabric"
 	"instrsample/internal/obs"
+	"instrsample/internal/service"
 )
 
 func main() {
@@ -126,13 +132,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 	}
 	logf := func(format string, a ...any) { fmt.Fprintf(stderr, "isampfleet: "+format+"\n", a...) }
 	cfg := fabric.Config{
+		Config: service.Config{
+			QueueDepth: *queue,
+			Obs:        obs.NewState(obs.Options{Mode: mode}),
+		},
 		Fleet:          fc,
 		Slots:          *slots,
-		QueueDepth:     *queue,
 		CacheDir:       *cacheDir,
 		CacheMaxBytes:  *cacheMax,
 		HealthInterval: *health,
-		Obs:            obs.NewState(obs.Options{Mode: mode}),
 	}
 	if !*quiet {
 		cfg.Logf = logf

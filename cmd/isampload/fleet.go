@@ -76,11 +76,13 @@ func selfHostFleet(n, perWorker, queue int, mode obs.Mode, logf func(string, ...
 	}
 	dirs = append(dirs, casDir)
 	c, err := fabric.New(fabric.Config{
+		Config: service.Config{
+			QueueDepth: queue,
+			Obs:        obs.NewState(obs.Options{Mode: mode}),
+		},
 		Fleet:          fabric.FleetConf{Workers: confs},
-		QueueDepth:     queue,
 		CacheDir:       casDir,
 		HealthInterval: 100 * time.Millisecond,
-		Obs:            obs.NewState(obs.Options{Mode: mode}),
 	})
 	if err != nil {
 		cleanup()

@@ -35,8 +35,9 @@ func smokeMix(t *testing.T, seed int64, ops int) (load.Mix, string) {
 // self-hosted daemon on an ephemeral port, with the regression gates
 // enforced — relaxed timing ceilings for shared CI hosts, but the exact
 // gates (zero failed jobs, zero leaked goroutines, zero transport
-// errors) at full strength. The small self-queue forces the 429-retry
-// path to actually run.
+// errors) at full strength. One worker plus a 4-deep queue holds five
+// jobs, fewer than the six closed-loop clients keep outstanding, so
+// the 429-retry path runs on every host, however fast or wide.
 func TestSoakSmoke(t *testing.T) {
 	mix, mixPath := smokeMix(t, 1, 600)
 	out := filepath.Join(t.TempDir(), "bench.json")
@@ -48,6 +49,7 @@ func TestSoakSmoke(t *testing.T) {
 		"-mix", mixPath,
 		"-duration", "2500ms",
 		"-clients", "6",
+		"-self-j", "1",
 		"-self-queue", "4",
 		"-o", out,
 		"-min-throughput", "3",

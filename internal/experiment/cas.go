@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 )
@@ -53,22 +54,29 @@ func (c *Cache) ID() string { return c.id }
 // Addr returns the content address of a cell key in this store.
 func (c *Cache) Addr(key string) string { return CASAddr(c.id, key) }
 
+// ErrCASIntegrity marks a CAS payload refused because it does not
+// belong at its claimed address. VerifyCAS and PutAddr wrap it, so a
+// network CAS can tell a rejected payload (errors.Is) from a store
+// failure such as a full disk.
+var ErrCASIntegrity = errors.New("integrity check failed")
+
 // VerifyCAS checks a CAS payload's integrity against its claimed
 // address: the payload must decode, and the cell key it embeds must
 // hash (under id) back to addr. A mismatch means corruption or a
 // cross-build entry and the payload must be rejected, not stored.
+// Every failure wraps ErrCASIntegrity.
 func VerifyCAS(id, addr string, data []byte) error {
 	var probe struct {
 		CellKey string `json:"cell"`
 	}
 	if err := json.Unmarshal(data, &probe); err != nil {
-		return fmt.Errorf("experiment: cas %s: undecodable payload: %w", addr, err)
+		return fmt.Errorf("experiment: cas %s: %w: undecodable payload: %v", addr, ErrCASIntegrity, err)
 	}
 	if probe.CellKey == "" {
-		return fmt.Errorf("experiment: cas %s: payload has no cell key", addr)
+		return fmt.Errorf("experiment: cas %s: %w: payload has no cell key", addr, ErrCASIntegrity)
 	}
 	if got := CASAddr(id, probe.CellKey); got != addr {
-		return fmt.Errorf("experiment: cas %s: integrity mismatch (payload addresses to %s)", addr, got)
+		return fmt.Errorf("experiment: cas %s: %w: payload addresses to %s", addr, ErrCASIntegrity, got)
 	}
 	return nil
 }
@@ -103,8 +111,8 @@ func (c *Cache) GetAddr(addr string) ([]byte, bool) {
 
 // PutAddr stores a raw payload under a CAS address after verifying its
 // integrity (VerifyCAS with this store's ID). Unlike Store, failures are
-// reported: a network CAS needs to distinguish a rejected payload from a
-// full disk.
+// reported: a rejected payload wraps ErrCASIntegrity, a write failure
+// does not, so a network CAS can answer each correctly.
 func (c *Cache) PutAddr(addr string, data []byte) error {
 	if !ValidAddr(addr) {
 		return fmt.Errorf("experiment: cas: invalid address %q", addr)

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -251,6 +252,46 @@ func TestCASRoundTripAndIntegrity(t *testing.T) {
 	}
 	if err := c3.PutAddr(addr, data); err == nil {
 		t.Fatal("PutAddr accepted an entry addressed under a different build ID")
+	}
+}
+
+// TestPutAddrErrorClasses: PutAddr's integrity failures wrap
+// ErrCASIntegrity and a store write failure does not, so a network CAS
+// can answer the sender's fault and its own differently.
+func TestPutAddrErrorClasses(t *testing.T) {
+	c, err := OpenCacheID(t.TempDir(), "build-x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Store("the cell", smallResult(7))
+	addr := c.Addr("the cell")
+	data, _ := c.GetAddr(addr)
+
+	other, err := OpenCacheID(t.TempDir(), "build-y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string][]byte{
+		"cross-build": data,
+		"no cell key": []byte(`{"return":1}`),
+		"undecodable": []byte(`not json`),
+	} {
+		if err := other.PutAddr(addr, payload); !errors.Is(err, ErrCASIntegrity) {
+			t.Errorf("%s: PutAddr error %v, want ErrCASIntegrity", name, err)
+		}
+	}
+
+	dir := t.TempDir()
+	broken, err := OpenCacheID(dir, "build-x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	err = broken.PutAddr(addr, data)
+	if err == nil || errors.Is(err, ErrCASIntegrity) {
+		t.Errorf("write failure: PutAddr error %v, want a non-integrity error", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"instrsample/internal/experiment"
 	"instrsample/internal/obs"
 	"instrsample/internal/service"
+	"instrsample/internal/telemetry"
 )
 
 // claimLocked hands w its next flight: its own queue first, then — when
@@ -63,7 +65,7 @@ func (c *Coordinator) claimLocked(w *worker) (fl *flight, stolen string) {
 		c.reg.Gauge(workerMetric(prev.name, "pending")).Add(-1)
 	}
 	c.drain.Record(c.now())
-	fl.running = w
+	c.setRunningLocked(fl, w)
 	fl.tried[w.name] = true
 	w.inflight++
 	c.reg.Gauge(workerMetric(w.name, "inflight")).Add(1)
@@ -107,18 +109,14 @@ func (c *Coordinator) dispatchLoop(w *worker) {
 // every attached job that is still live. Caller holds c.mu.
 func (c *Coordinator) beginStageLocked(fl *flight, s obs.Stage, cause string) {
 	for _, j := range fl.attached {
-		j.trace.Begin(s, cause)
+		j.Trace().Begin(s, cause)
 	}
 }
 
 // markStartedLocked stamps the attached jobs running. Caller holds c.mu.
 func (c *Coordinator) markStartedLocked(fl *flight) {
-	t := c.now()
 	for _, j := range fl.attached {
-		if j.status == service.StatusQueued {
-			j.status = service.StatusRunning
-			j.started = &t
-		}
+		j.Start()
 	}
 }
 
@@ -184,7 +182,7 @@ func (c *Coordinator) dispatch(w *worker, fl *flight, stolen bool) {
 		c.mu.Lock()
 		delete(fl.tried, w.name)
 		if fl.running == w {
-			fl.running = nil
+			c.setRunningLocked(fl, nil)
 			w.inflight--
 			c.reg.Gauge(workerMetric(w.name, "inflight")).Add(-1)
 		}
@@ -336,12 +334,15 @@ func (c *Coordinator) replicate(w *worker, fl *flight) {
 		if err != nil || data == nil {
 			return // worker has no entry (cache disabled) or is gone
 		}
-		if err := cas.PutAddr(addr, data); err != nil {
-			c.reg.Counter(MetricCASRejected).Inc()
-			c.logf("fleet: cas %s from %s rejected (attempt %d): %v", addr, w.name, attempt+1, err)
-			continue // refetch once
+		err = cas.PutAddr(addr, data)
+		if !errors.Is(err, experiment.ErrCASIntegrity) {
+			if err != nil {
+				c.logf("fleet: cas %s from %s not stored: %v", addr, w.name, err)
+			}
+			return
 		}
-		return
+		c.reg.Counter(MetricCASRejected).Inc()
+		c.logf("fleet: cas %s from %s rejected (attempt %d): %v", addr, w.name, attempt+1, err)
 	}
 }
 
@@ -390,16 +391,9 @@ func (c *Coordinator) remoteProbe(fl *flight, peer *worker, addr string) []byte 
 	return nil
 }
 
-// resolveFromCAS turns a verified CAS payload into the flight's result:
-// the same BuildResult path a worker runs, so the bytes match a local
-// run exactly.
+// resolveFromCAS turns a verified CAS payload into the flight's result.
 func (c *Coordinator) resolveFromCAS(fl *flight, data []byte, hitMetric string) {
-	cell, key, err := experiment.DecodeCAS(data)
-	if err != nil || key != fl.key {
-		c.failFlight(fl, fmt.Sprintf("cas decode: %v", err))
-		return
-	}
-	res, err := json.Marshal(service.BuildResult(fl.spec, cell, nil))
+	res, err := casResult(fl.spec, fl.key, data)
 	if err != nil {
 		c.failFlight(fl, fmt.Sprintf("cas result: %v", err))
 		return
@@ -429,7 +423,7 @@ func (c *Coordinator) workerFailed(w *worker, fl *flight, msg string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if fl.running == w {
-		fl.running = nil
+		c.setRunningLocked(fl, nil)
 		w.inflight--
 		c.reg.Gauge(workerMetric(w.name, "inflight")).Add(-1)
 	}
@@ -489,9 +483,10 @@ func (c *Coordinator) remoteCancel(w *worker, remoteID string) {
 }
 
 // streamEvents consumes the worker's SSE stream for a running job,
-// buffering columns/metrics blocks for front-door replay. It returns
-// true when the stream reached the worker's done event, false when the
-// connection broke first.
+// relaying its columns/metrics rows into every attached job's event log
+// (the worker's ledger is its own attribution; the front door streams
+// the coordinator's at done). It returns true when the stream reached
+// the worker's done event, false when the connection broke first.
 func (c *Coordinator) streamEvents(w *worker, fl *flight, remoteID string) bool {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -517,33 +512,35 @@ func (c *Coordinator) streamEvents(w *worker, fl *flight, remoteID string) bool 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var event string
-	var block bytes.Buffer
+	var cols []string
 	for sc.Scan() {
 		line := sc.Text()
-		switch {
-		case line == "":
-			if event == "done" {
+		if v, ok := strings.CutPrefix(line, "event: "); ok {
+			if event = v; event == "done" {
 				return true
 			}
-			// The worker's ledger is its own attribution; the coordinator
-			// streams its own ledger at done. Pass everything else through.
-			if event != "ledger" && block.Len() > 0 {
-				blk := append([]byte(nil), block.Bytes()...)
-				blk = append(blk, '\n')
-				c.mu.Lock()
-				if !fl.done {
-					fl.appendEventLocked(blk)
+			continue
+		}
+		data, ok := strings.CutPrefix(line, "data: ")
+		if !ok {
+			continue
+		}
+		switch event {
+		case "columns":
+			json.Unmarshal([]byte(data), &cols) //nolint:errcheck // a bad block only loses columns
+		case "metrics":
+			var row telemetry.SeriesRow
+			if json.Unmarshal([]byte(data), &row) != nil {
+				continue
+			}
+			rows := []telemetry.SeriesRow{row}
+			c.mu.Lock()
+			if !fl.done {
+				for _, j := range fl.attached {
+					j.AppendEvents(cols, rows)
 				}
-				c.mu.Unlock()
 			}
-			event = ""
-			block.Reset()
-		default:
-			if v, ok := strings.CutPrefix(line, "event: "); ok {
-				event = v
-			}
-			block.WriteString(line)
-			block.WriteByte('\n')
+			c.mu.Unlock()
 		}
 	}
 	return false

@@ -1,7 +1,9 @@
 // Package fabric is the distributed experiment fabric: a coordinator
-// that fronts a fleet of isampd workers behind the same POST /v1/jobs
-// surface a single daemon serves, so clients scale from one node to a
-// cluster without changing a line (DESIGN.md §15).
+// that runs jobs on a fleet of isampd workers. It is a service.Executor
+// behind the very front door a single daemon serves (service.Server:
+// job table, IDs, every HTTP handler, ledger, drain), so clients scale
+// from one node to a cluster without changing a line and the fabric
+// itself keeps only placement (DESIGN.md §15).
 //
 // The fabric rests on the observation that measurement cells are pure
 // and build-ID-keyed (DESIGN.md §6): a cell key is a content address,
@@ -68,17 +70,16 @@ type FleetConf struct {
 	StealThreshold int `json:"steal_threshold,omitempty"`
 }
 
-// Config configures a Coordinator.
+// Config configures a Coordinator. The embedded service.Config is the
+// front door's (QueueDepth, RetainJobs, Registry, Obs, MaxBodyBytes,
+// Logf, Logger, TraceDir, Now); its Workers and Cache belong to the
+// local pool and are ignored here.
 type Config struct {
+	service.Config
 	// Fleet is the initial topology (also reloadable via Reload).
 	Fleet FleetConf
 	// Slots is the number of concurrent dispatches per worker (default 2).
 	Slots int
-	// QueueDepth bounds queued-but-undispatched cells; past it the front
-	// door answers 429 with a drain-rate-derived Retry-After (default 256).
-	QueueDepth int
-	// RetainJobs bounds how many terminal jobs stay queryable (default 1024).
-	RetainJobs int
 	// CacheDir, when non-empty, roots the coordinator's own CAS replica:
 	// results fetched from workers are stored here and served back to the
 	// fleet (and to clients, instantly, on resubmission).
@@ -89,16 +90,6 @@ type Config struct {
 	// learn it from the first worker /healthz handshake — the workers'
 	// binary, not the coordinator's, defines the address space.
 	FleetID string
-	// Registry receives the coordinator's metrics (nil = private).
-	Registry *telemetry.Registry
-	// Obs carries the span/ledger mode for coordinator-side job chains.
-	Obs *obs.State
-	// MaxBodyBytes bounds a POST body (default 2 MiB).
-	MaxBodyBytes int64
-	// Logf, when non-nil, receives one line per fleet state change.
-	Logf func(format string, args ...any)
-	// Now replaces time.Now in tests.
-	Now func() time.Time
 	// HealthInterval is the per-worker health-probe cadence (default 500ms).
 	HealthInterval time.Duration
 	// Client is the HTTP client for worker traffic (default: dedicated
@@ -115,20 +106,19 @@ type worker struct {
 	queue    []*flight // cells assigned here, FIFO
 	inflight int       // cells dispatched and not yet resolved
 	up       bool      // health probe OK and build-compatible
-	probed   bool      // at least one health probe answered
-	buildID  string
-	depth    int  // worker-reported queue depth, for steal/metrics
-	draining bool // removed by reload: finish inflight, take no new work
-	gone     bool // fully removed
+	depth    int       // worker-reported queue depth, for steal/metrics
+	draining bool      // removed by reload: finish inflight, take no new work
+	gone     bool      // fully removed
 	stop     chan struct{}
 }
 
-// Coordinator fronts the fleet. Create with New, serve Handler, stop
-// with Shutdown.
+// Coordinator is isampfleet's Executor behind the shared service front
+// door (the embedded Server: Handler, Shutdown, Registry). Create with
+// New, serve Handler, stop with Shutdown.
 type Coordinator struct {
+	*service.Server
 	cfg    Config
 	reg    *telemetry.Registry
-	mux    *http.ServeMux
 	now    func() time.Time
 	client *http.Client
 	logf   func(string, ...any)
@@ -140,18 +130,12 @@ type Coordinator struct {
 	stealThreshold int
 	workers        map[string]*worker
 	flights        map[string]*flight // live cells by cell key
-	jobs           map[string]*fjob
-	order          []string
-	seq            uint64
-	pending        int // queued (undispatched) flights
-	subscribers    int // open SSE proxies
-	draining       bool
+	pending        int                // queued (undispatched) flights
 	closed         bool
 	fleetID        string
 	cas            *experiment.Cache
 
-	wg       sync.WaitGroup // dispatchers + health probes
-	inflight sync.WaitGroup // jobs not yet terminal
+	wg sync.WaitGroup // dispatchers + health probes
 }
 
 // New builds a Coordinator and starts its dispatchers and health probes.
@@ -162,12 +146,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 256
 	}
-	if cfg.RetainJobs < 1 {
-		cfg.RetainJobs = 1024
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 2 << 20
-	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 500 * time.Millisecond
 	}
@@ -177,14 +155,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewState(obs.Options{Mode: obs.ModeSpans})
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
+	cfg.Config = cfg.Config.WithDefaults()
 	client := cfg.Client
 	if client == nil {
 		// A dedicated transport, not http.DefaultTransport: worker
@@ -197,16 +168,17 @@ func New(cfg Config) (*Coordinator, error) {
 			IdleConnTimeout:     5 * time.Second,
 		}}
 	}
+	if len(cfg.Fleet.Workers) == 0 {
+		return nil, fmt.Errorf("fabric: no workers configured")
+	}
 	c := &Coordinator{
 		cfg:            cfg,
-		reg:            reg,
-		mux:            http.NewServeMux(),
-		now:            now,
+		reg:            cfg.Registry,
+		now:            cfg.Now,
 		client:         client,
 		stealThreshold: cfg.Fleet.StealThreshold,
 		workers:        make(map[string]*worker),
 		flights:        make(map[string]*flight),
-		jobs:           make(map[string]*fjob),
 	}
 	c.logf = func(format string, args ...any) {
 		if cfg.Logf != nil {
@@ -219,30 +191,14 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, err
 		}
 	}
-	c.mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleGet)
-	c.mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
-	c.mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancel)
-	c.mux.HandleFunc("GET /v1/cas/{addr}", c.handleCASGet)
-	c.mux.HandleFunc("PUT /v1/cas/{addr}", c.handleCASPut)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
+	c.Server = service.NewWithExecutor(cfg.Config, c)
 	c.mu.Lock()
 	for _, wc := range cfg.Fleet.Workers {
 		c.addWorkerLocked(wc)
 	}
 	c.mu.Unlock()
-	if len(cfg.Fleet.Workers) == 0 {
-		return nil, fmt.Errorf("fabric: no workers configured")
-	}
 	return c, nil
 }
-
-// Handler returns the coordinator's HTTP surface.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// Registry returns the coordinator's metrics registry.
-func (c *Coordinator) Registry() *telemetry.Registry { return c.reg }
 
 // setFleetID fixes the fleet's content-addressing ID and, when a cache
 // dir is configured, opens the coordinator's CAS replica under it.
@@ -416,10 +372,8 @@ func (c *Coordinator) probe(w *worker) {
 func (c *Coordinator) setWorkerUp(w *worker, up bool, depth int, buildID string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w.probed = true
 	w.depth = depth
 	if buildID != "" {
-		w.buildID = buildID
 		if c.fleetID == "" {
 			if err := c.setFleetIDLocked(buildID); err != nil {
 				c.logf("fleet: %v", err)

@@ -84,11 +84,10 @@ func startCoordinator(t *testing.T, workers []*testWorker, mod func(*Config)) *f
 		confs = append(confs, WorkerConf{Name: tw.name, URL: tw.hs.URL})
 	}
 	cfg := Config{
+		Config:         service.Config{QueueDepth: 64, Logf: t.Logf},
 		Fleet:          FleetConf{Workers: confs},
 		CacheDir:       t.TempDir(),
-		QueueDepth:     64,
 		HealthInterval: 25 * time.Millisecond,
-		Logf:           t.Logf,
 	}
 	if mod != nil {
 		mod(&cfg)

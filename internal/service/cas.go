@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"io"
 	"net/http"
 
@@ -15,26 +16,38 @@ const (
 	MetricCASRejected = "cas.put.rejected" // counter: PUT /v1/cas integrity rejects
 )
 
-// The CAS endpoints expose the daemon's disk cache as a network
-// content-addressed store (DESIGN.md §15): GET serves an entry's raw
-// stored bytes by address, PUT replicates an entry a peer computed.
-// Every isampd worker and the isampfleet coordinator serve the same two
-// routes, so any node's warm cache benefits the whole fleet. A PUT is
+// The CAS endpoints expose a result store as a network content-addressed
+// store (DESIGN.md §15): GET serves an entry's raw stored bytes by
+// address, PUT replicates an entry a peer computed. isampd serves its
+// disk cache here and isampfleet its CAS replica (the Executor picks the
+// store), so any node's warm cache benefits the whole fleet. A PUT is
 // verified against the address before it touches the store — a receiver
-// never trusts the sender — and a node running without a cache answers
-// 404 for the whole surface.
+// never trusts the sender — and a node without a store answers 404 for
+// the whole surface.
 
-func (s *Server) handleCASGet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Cache == nil {
+// casAddr validates a CAS request against store: it answers 404 (no
+// store) or 400 (malformed address) itself and reports false, or
+// returns the {addr} path value.
+func casAddr(w http.ResponseWriter, r *http.Request, store *experiment.Cache) (string, bool) {
+	if store == nil {
 		writeErr(w, http.StatusNotFound, "no cache configured")
-		return
+		return "", false
 	}
 	addr := r.PathValue("addr")
 	if !experiment.ValidAddr(addr) {
 		writeErr(w, http.StatusBadRequest, "invalid CAS address %q", addr)
+		return "", false
+	}
+	return addr, true
+}
+
+func (s *Server) handleCASGet(w http.ResponseWriter, r *http.Request) {
+	store, _ := s.exec.CAS()
+	addr, ok := casAddr(w, r, store)
+	if !ok {
 		return
 	}
-	data, ok := s.cfg.Cache.GetAddr(addr)
+	data, ok := store.GetAddr(addr)
 	if !ok {
 		s.reg.Counter(MetricCASMisses).Inc()
 		writeErr(w, http.StatusNotFound, "no entry at %s", addr)
@@ -45,14 +58,13 @@ func (s *Server) handleCASGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(data) //nolint:errcheck // client went away
 }
 
+// handleCASPut stores a replicated entry. PutAddr verifies it once: an
+// integrity failure is the sender's fault (422, counted as a reject);
+// any other failure is the store's (500).
 func (s *Server) handleCASPut(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Cache == nil {
-		writeErr(w, http.StatusNotFound, "no cache configured")
-		return
-	}
-	addr := r.PathValue("addr")
-	if !experiment.ValidAddr(addr) {
-		writeErr(w, http.StatusBadRequest, "invalid CAS address %q", addr)
+	store, rejectMetric := s.exec.CAS()
+	addr, ok := casAddr(w, r, store)
+	if !ok {
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
@@ -60,28 +72,15 @@ func (s *Server) handleCASPut(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusRequestEntityTooLarge, "body: %v", err)
 		return
 	}
-	if err := experiment.VerifyCAS(s.cfg.Cache.ID(), addr, body); err != nil {
-		s.reg.Counter(MetricCASRejected).Inc()
-		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	if err := s.cfg.Cache.PutAddr(addr, body); err != nil {
+	if err := store.PutAddr(addr, body); err != nil {
+		if errors.Is(err, experiment.ErrCASIntegrity) {
+			s.reg.Counter(rejectMetric).Inc()
+			writeErr(w, http.StatusUnprocessableEntity, "%v", err)
+			return
+		}
 		writeErr(w, http.StatusInternalServerError, "store: %v", err)
 		return
 	}
 	s.reg.Counter(MetricCASStored).Inc()
 	writeJSON(w, http.StatusOK, map[string]string{"stored": addr})
-}
-
-// Cache returns the daemon's result cache (nil when running uncached).
-// The fleet coordinator uses it to learn a worker-compatible store.
-func (s *Server) Cache() *experiment.Cache { return s.cfg.Cache }
-
-// BuildResult assembles a job's terminal payload from its engine cell
-// result(s) — ref is the overlap reference cell, nil otherwise. It is
-// exported for the fleet coordinator, which resolves CAS fast-path hits
-// into the same result shape a local run produces, so remote hits stay
-// byte-identical with local ones.
-func BuildResult(spec JobSpec, main, ref *experiment.CellResult) *JobResult {
-	return buildResult(spec, main, ref)
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -103,5 +104,38 @@ func TestCASEndpoints(t *testing.T) {
 	}
 	if resp, _ := casDo(t, http.MethodPut, hNone.URL+"/v1/cas/"+addr, local); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("cache-less PUT: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestCASPutStoreFailure: a genuine payload the store cannot write is
+// the receiver's fault — 500, and not booked as an integrity reject.
+func TestCASPutStoreFailure(t *testing.T) {
+	t.Parallel()
+	src, err := experiment.OpenCacheID(t.TempDir(), "fleet-build")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Store("cell one", &experiment.CellResult{Return: 42})
+	addr := src.Addr("cell one")
+	payload, _ := src.GetAddr(addr)
+
+	dir := t.TempDir()
+	broken, err := experiment.OpenCacheID(dir, "fleet-build")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, h := newTestServer(t, Config{Workers: 1, Cache: broken})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := casDo(t, http.MethodPut, h.URL+"/v1/cas/"+addr, payload)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("PUT to a failing store: status %d (%s), want 500", resp.StatusCode, body)
+	}
+	if got := s.Registry().Counter(MetricCASRejected).Value(); got != 0 {
+		t.Errorf("%s = %d after a store failure, want 0", MetricCASRejected, got)
+	}
+	if got := s.Registry().Counter(MetricCASStored).Value(); got != 0 {
+		t.Errorf("%s = %d after a store failure, want 0", MetricCASStored, got)
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"sync"
 	"time"
 
@@ -93,8 +94,9 @@ type JobResult struct {
 	Overlap []ProfileOverlap `json:"overlap,omitempty"`
 }
 
-// jobView is the GET /v1/jobs/{id} response body.
-type jobView struct {
+// jobDoc is the GET /v1/jobs/{id} response body, the same document at
+// isampd and at isampfleet.
+type jobDoc struct {
 	ID       string     `json:"id"`
 	Status   JobStatus  `json:"status"`
 	Spec     string     `json:"spec"`
@@ -102,50 +104,59 @@ type jobView struct {
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
 	Error    string     `json:"error,omitempty"`
-	Result   *JobResult `json:"result,omitempty"`
+	// Result is the done job's JobResult, encoded once when the job
+	// finishes (or passed through byte for byte from a fleet worker).
+	Result json.RawMessage `json:"result,omitempty"`
+	// Worker names the fleet worker running the job; empty (and omitted)
+	// at a single daemon.
+	Worker string `json:"worker,omitempty"`
 	// Ledger is the job's wall-clock attribution (present when the obs
 	// mode was not off at accept): exact per-stage durations that sum to
 	// the end-to-end latency. Live jobs report the open stage up to now.
 	Ledger *obs.Ledger `json:"ledger,omitempty"`
 }
 
-// job is one queued/running/finished unit of work. Mutable state is
-// guarded by mu; ctx/cancel and the immutables are set at creation.
-type job struct {
+// Job is one accepted unit of work: the record the front door serves
+// (GET, SSE, healthz) and the Executor drives to a terminal state.
+// Mutable state is guarded by mu; the immutables are set at creation.
+type Job struct {
 	id      string
 	spec    JobSpec
 	created time.Time
 	now     func() time.Time
-	ctx     context.Context
-	cancel  context.CancelFunc
+	// ctx is a child of the front door's base context; it fires on
+	// DELETE, on timeout_ms and on a forced drain. The local pool runs
+	// the job under it; the fleet coordinator cancels remotely instead.
+	ctx    context.Context
+	cancel context.CancelFunc
 	// trace is the job's span chain (nil when the obs mode was off at
 	// accept). Set before the job is shared, immutable afterwards; the
 	// chain has its own lock, so it is read without j.mu.
 	trace *obs.JobTrace
-	// onFinish, when non-nil, runs once when the job reaches a terminal
-	// state, after the span chain closes and before done closes — the
-	// server's hook for ledger metrics and the trace-dir dump. Set before
-	// the job is shared.
-	onFinish func(*job)
-	// done closes when the job reaches a terminal state.
+	// srv is the front door that accepted the job; Finish books the
+	// job's outcome there. Nil only for jobs built directly in tests.
+	srv *Server
+	// done closes once the terminal status is visible.
 	done chan struct{}
 
 	mu        sync.Mutex
 	status    JobStatus
+	closing   bool // Finish has claimed the terminal transition
 	started   time.Time
 	finished  time.Time
 	errMsg    string
-	result    *JobResult
+	result    json.RawMessage
+	worker    string
 	requested bool // DELETE arrived (distinguishes cancel from timeout)
 	// Event-stream state: columns freeze at the first batch; rows only
-	// append; subs get a non-blocking wakeup on every append and on
-	// completion.
+	// append; wake (made on demand by a waiting reader) closes on the
+	// next append.
 	eventCols []string
 	events    []telemetry.SeriesRow
-	subs      map[chan struct{}]struct{}
+	wake      chan struct{}
 }
 
-func newJob(id string, spec JobSpec, parent context.Context, now func() time.Time) *job {
+func newJob(id string, spec JobSpec, parent context.Context, now func() time.Time) *Job {
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if spec.TimeoutMs > 0 {
@@ -156,7 +167,7 @@ func newJob(id string, spec JobSpec, parent context.Context, now func() time.Tim
 	if now == nil {
 		now = time.Now
 	}
-	return &job{
+	return &Job{
 		id:      id,
 		spec:    spec,
 		created: now(),
@@ -165,21 +176,31 @@ func newJob(id string, spec JobSpec, parent context.Context, now func() time.Tim
 		cancel:  cancel,
 		done:    make(chan struct{}),
 		status:  StatusQueued,
-		subs:    make(map[chan struct{}]struct{}),
 	}
 }
 
-// view snapshots the job for JSON rendering.
-func (j *job) view() jobView {
+// ID returns the job's front-door ID (job-NNNNNN).
+func (j *Job) ID() string { return j.id }
+
+// Spec returns the job's spec, defaults applied.
+func (j *Job) Spec() JobSpec { return j.spec }
+
+// Trace returns the job's span chain (nil when the obs mode was off at
+// accept; every JobTrace method is nil-safe).
+func (j *Job) Trace() *obs.JobTrace { return j.trace }
+
+// doc snapshots the job for JSON rendering.
+func (j *Job) doc() jobDoc {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	v := jobView{
+	v := jobDoc{
 		ID:      j.id,
 		Status:  j.status,
 		Spec:    j.spec.describe(),
 		Created: j.created,
 		Error:   j.errMsg,
 		Result:  j.result,
+		Worker:  j.worker,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -193,19 +214,19 @@ func (j *job) view() jobView {
 	return v
 }
 
-// Status returns the current state.
-func (j *job) Status() JobStatus {
+// Status returns the current (published) state.
+func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.status
 }
 
-// start transitions queued → running. It returns false when the job is
-// already terminal (cancelled while still queued).
-func (j *job) start() bool {
+// Start transitions queued → running. It returns false when the job is
+// no longer queued (already running, or cancelled while queued).
+func (j *Job) Start() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusQueued {
+	if j.status != StatusQueued || j.closing {
 		return false
 	}
 	j.status = StatusRunning
@@ -213,79 +234,69 @@ func (j *job) start() bool {
 	return true
 }
 
-// finish moves the job to a terminal state and wakes every subscriber.
-// Later calls are no-ops, so a cancel racing a natural completion
-// resolves to whichever lands first.
-func (j *job) finish(st JobStatus, errMsg string, res *JobResult) {
+// SetWorker records which fleet worker runs the job ("" when none).
+func (j *Job) SetWorker(name string) {
 	j.mu.Lock()
-	if j.status.Terminal() {
+	j.worker = name
+	j.mu.Unlock()
+}
+
+// Finish moves the job to a terminal state. Everything a reader could
+// learn about the outcome is recorded first — the span chain closes,
+// and the front door books the ledger's stage histograms, the job
+// counters and the duration histogram — and only then does the
+// terminal status become visible to GET, SSE and healthz, and done
+// close. Later calls are no-ops, so a cancel racing a natural
+// completion resolves to whichever lands first.
+func (j *Job) Finish(st JobStatus, errMsg string, result json.RawMessage) {
+	j.mu.Lock()
+	if j.closing {
 		j.mu.Unlock()
 		return
 	}
-	j.status = st
-	j.finished = j.now()
-	j.errMsg = errMsg
-	j.result = res
-	subs := j.subs
-	j.subs = make(map[chan struct{}]struct{})
+	j.closing = true
 	j.mu.Unlock()
-	// Close the span chain before done closes so anyone woken by done (the
-	// SSE ledger event, waiters polling the job view) sees a final ledger
-	// whose stage sum equals the end-to-end latency.
+	finished := j.now()
+	// Name the chain here too: a fast job can finish before the front
+	// door's own SetJob runs, and its trace dump must carry the ID.
+	j.trace.SetJob(j.id)
 	j.trace.Finish(string(st))
-	if j.onFinish != nil {
-		j.onFinish(j)
+	if j.srv != nil {
+		j.srv.record(j, st, finished)
 	}
+	j.mu.Lock()
+	j.status, j.finished, j.errMsg, j.result = st, finished, errMsg, result
+	j.mu.Unlock()
 	close(j.done)
-	for ch := range subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // requestCancel marks the job operator-cancelled and fires its context.
 // Terminal jobs are left untouched; the returned status is the state the
 // job was in when the request landed.
-func (j *job) requestCancel() JobStatus {
+func (j *Job) requestCancel() JobStatus {
 	j.mu.Lock()
 	st := j.status
-	if !st.Terminal() {
-		j.requested = true
-	}
+	live := !st.Terminal() && !j.closing
+	j.requested = j.requested || live
 	j.mu.Unlock()
-	if !st.Terminal() {
+	if live {
 		j.cancel()
-		// A queued job never reaches a worker's classification path, so
-		// resolve it here; the worker's start() will then skip it.
-		j.finishIfQueuedCancelled()
 	}
 	return st
 }
 
-// finishIfQueuedCancelled resolves a still-queued cancelled job.
-func (j *job) finishIfQueuedCancelled() {
-	j.mu.Lock()
-	queued := j.status == StatusQueued
-	j.mu.Unlock()
-	if queued {
-		j.finish(StatusCancelled, "cancelled before start", nil)
-	}
-}
-
 // cancelRequested reports whether DELETE arrived (vs a timeout firing
 // the same context).
-func (j *job) cancelRequested() bool {
+func (j *Job) cancelRequested() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.requested
 }
 
-// appendEvents publishes newly captured metrics rows to the event log
-// and wakes subscribers. Called from the VM goroutine via the meter
-// publisher observer.
-func (j *job) appendEvents(cols []string, rows []telemetry.SeriesRow) {
+// AppendEvents publishes newly captured metrics rows to the job's event
+// log and wakes waiting SSE readers. The local runner calls it from the
+// VM goroutine; the fleet coordinator from a worker's proxied stream.
+func (j *Job) AppendEvents(cols []string, rows []telemetry.SeriesRow) {
 	if len(rows) == 0 {
 		return
 	}
@@ -294,21 +305,15 @@ func (j *job) appendEvents(cols []string, rows []telemetry.SeriesRow) {
 		j.eventCols = append([]string(nil), cols...)
 	}
 	j.events = append(j.events, rows...)
-	subs := make([]chan struct{}, 0, len(j.subs))
-	for ch := range j.subs {
-		subs = append(subs, ch)
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
 	}
 	j.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
 }
 
-// eventsSince returns the frozen columns and any rows past n.
-func (j *job) eventsSince(n int) ([]string, []telemetry.SeriesRow) {
+// EventsSince returns the frozen columns and any rows past n.
+func (j *Job) EventsSince(n int) ([]string, []telemetry.SeriesRow) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if n >= len(j.events) {
@@ -319,16 +324,14 @@ func (j *job) eventsSince(n int) ([]string, []telemetry.SeriesRow) {
 	return j.eventCols, rows
 }
 
-// subscribe registers a wakeup channel; the returned func unregisters
-// it. The channel has capacity 1 — wakeups coalesce.
-func (j *job) subscribe() (<-chan struct{}, func()) {
-	ch := make(chan struct{}, 1)
+// eventWake returns a channel that closes on the next AppendEvents. Take
+// it before reading the log so no append can slip between the read and
+// the wait.
+func (j *Job) eventWake() <-chan struct{} {
 	j.mu.Lock()
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		delete(j.subs, ch)
-		j.mu.Unlock()
+	defer j.mu.Unlock()
+	if j.wake == nil {
+		j.wake = make(chan struct{})
 	}
+	return j.wake
 }

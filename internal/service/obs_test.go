@@ -3,10 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -392,17 +394,96 @@ func TestObsRuntimeToggle(t *testing.T) {
 		t.Error("job accepted after toggle-off has a ledger")
 	}
 
-	var bad struct{ Error string }
-	body, _ := json.Marshal(map[string]string{"mode": "verbose"})
-	req, _ := http.NewRequest(http.MethodPut, h.URL+"/v1/obs", bytes.NewReader(body))
-	resp, err := http.DefaultClient.Do(req)
+	// Malformed bodies get the same treatment as POST /v1/jobs: bounded
+	// size, no unknown fields, exactly one JSON value.
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"bad mode", `{"mode":"verbose"}`, http.StatusBadRequest},
+		{"unknown field", `{"mode":"spans","level":3}`, http.StatusBadRequest},
+		{"trailing data", `{"mode":"spans"} {"mode":"full"}`, http.StatusBadRequest},
+		{"oversized body", `{"mode":"` + strings.Repeat("x", 3<<20) + `"}`, http.StatusRequestEntityTooLarge},
+	} {
+		var bad struct{ Error string }
+		req, _ := http.NewRequest(http.MethodPut, h.URL+"/v1/obs", strings.NewReader(tc.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		json.NewDecoder(resp.Body).Decode(&bad) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("PUT %s: %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	// None of them changed the mode.
+	resp, err := http.Get(h.URL + "/v1/obs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	json.NewDecoder(resp.Body).Decode(&bad) //nolint:errcheck
+	var m map[string]any
+	json.NewDecoder(resp.Body).Decode(&m) //nolint:errcheck
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("PUT bad mode: %d, want 400", resp.StatusCode)
+	if m["mode"] != "off" {
+		t.Errorf("mode after rejected PUTs = %v, want off", m["mode"])
+	}
+}
+
+// TestTerminalStatusPublishedLast: a reader never sees a terminal status
+// before the job's outcome is booked. The finish path is held at its
+// last booking step (the terminal log line, written after the ledger's
+// stage histograms, the job counters and the duration histogram): GET
+// and healthz must still report the job live, and every metric must
+// already be recorded.
+func TestTerminalStatusPublishedLast(t *testing.T) {
+	t.Parallel()
+	reg := telemetry.NewRegistry()
+	booking := make(chan string, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	s, h := newTestServer(t, Config{
+		Registry: reg,
+		Obs:      obs.NewState(obs.Options{Mode: obs.ModeSpans}),
+		Logf: func(format string, args ...any) {
+			if format == "job %s %s" {
+				booking <- fmt.Sprint(args[1])
+				<-release
+			}
+		},
+	})
+	id := mustAccept(t, h.URL, JobSpec{Bench: "db", Scale: 0.01, Interval: 971})
+	select {
+	case st := <-booking:
+		if st != string(StatusDone) {
+			t.Fatalf("job booked as %s, want done", st)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("job never reached its finish")
+	}
+	if v := getJob(t, h.URL, id); v.Status.Terminal() {
+		t.Errorf("GET reports %s while the outcome is still being booked", v.Status)
+	}
+	if in := s.Introspect(); in.Terminal != 0 {
+		t.Errorf("healthz counts %d terminal jobs while the outcome is still being booked", in.Terminal)
+	}
+	if got := reg.Counter(MetricJobsCompleted).Value(); got != 1 {
+		t.Errorf("%s = %d before the status is published, want 1", MetricJobsCompleted, got)
+	}
+	if got := reg.Histogram(MetricJobDuration, nil).Summarize().Count; got != 1 {
+		t.Errorf("duration histogram holds %d observations before the status is published, want 1", got)
+	}
+	for _, st := range []obs.Stage{obs.StageAccept, obs.StageQueueWait, obs.StageVMRun} {
+		if got := reg.Histogram(MetricStageUs(st), nil).Summarize().Count; got != 1 {
+			t.Errorf("histogram %s holds %d observations before the status is published, want 1", MetricStageUs(st), got)
+		}
+	}
+	unblock()
+	if v := waitTerminal(t, h.URL, id, 10*time.Second); v.Status != StatusDone {
+		t.Fatalf("job %s: %s (%s)", id, v.Status, v.Error)
 	}
 }
 

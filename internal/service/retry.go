@@ -1,7 +1,6 @@
 package service
 
 import (
-	"strconv"
 	"sync"
 	"time"
 )
@@ -83,9 +82,4 @@ func (d *DrainEstimator) RetryAfter(depth int, now time.Time) int {
 		return retryAfterMax
 	}
 	return sec
-}
-
-// Header renders the estimate as the Retry-After header value.
-func (d *DrainEstimator) Header(depth int, now time.Time) string {
-	return strconv.Itoa(d.RetryAfter(depth, now))
 }

@@ -10,14 +10,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"instrsample/internal/experiment"
 	"instrsample/internal/obs"
-	"instrsample/internal/profile"
 	"instrsample/internal/telemetry"
-	"instrsample/internal/vm"
 )
 
 // Daemon metric names, exposed at GET /metrics in Prometheus text
@@ -43,7 +43,7 @@ func MetricStageUs(stage obs.Stage) string {
 // 64-deep queue, no cache, a private registry.
 type Config struct {
 	// Workers is the worker-pool size — the number of jobs running
-	// concurrently (minimum 1).
+	// concurrently (minimum 1). Local pool only.
 	Workers int
 	// QueueDepth bounds the number of accepted-but-not-started jobs.
 	// A full queue rejects submissions with 429 + Retry-After; the
@@ -54,10 +54,11 @@ type Config struct {
 	RetainJobs int
 	// Cache, when non-nil, is the experiment engine's build-ID-keyed
 	// on-disk result cache; identical jobs then complete near-instantly.
+	// It is also the store behind /v1/cas. Local pool only.
 	Cache *experiment.Cache
 	// Registry receives the daemon's metrics (nil = private registry).
 	Registry *telemetry.Registry
-	// MaxBodyBytes bounds a POST body (default 2 MiB).
+	// MaxBodyBytes bounds a POST or PUT body (default 2 MiB).
 	MaxBodyBytes int64
 	// Logf, when non-nil, receives one line per job state change.
 	Logf func(format string, args ...any)
@@ -83,67 +84,120 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Server is the profiling-as-a-service daemon core: a bounded job queue
-// in front of a worker pool layered on the experiment engine, plus the
-// HTTP surface (Handler). It is independent of any particular
-// http.Server so tests can drive it with httptest.
+// WithDefaults returns the config with every unset field given its
+// default. New applies it; the fleet coordinator applies it first to
+// share the registry and clock with the front door it builds.
+func (c Config) WithDefaults() Config {
+	if c.Workers < 1 {
+		c.Workers = 1
+	}
+	if c.QueueDepth < 1 {
+		c.QueueDepth = 64
+	}
+	if c.RetainJobs < 1 {
+		c.RetainJobs = 1024
+	}
+	if c.MaxBodyBytes <= 0 {
+		c.MaxBodyBytes = 2 << 20
+	}
+	if c.Registry == nil {
+		c.Registry = telemetry.NewRegistry()
+	}
+	if c.Now == nil {
+		c.Now = time.Now
+	}
+	return c
+}
+
+// Executor runs the jobs the front door accepts (DESIGN.md §10). isampd
+// runs them on a local worker pool (New); isampfleet dispatches them to
+// a fleet of isampd workers (internal/fabric). The front door owns
+// everything a client sees — IDs, the job table, every HTTP handler,
+// the ledger and terminal metrics, drain — and an executor resolves
+// each job it accepts by calling Job.Finish exactly when the outcome is
+// known.
+type Executor interface {
+	// Submit takes an accepted job. It must not block; the only error
+	// it returns is *QueueFullError, which the front door answers with
+	// 429. On success the executor owns the job until it finishes it.
+	Submit(j *Job) error
+	// Cancel acts on an operator DELETE of a live job, after the job's
+	// context has fired.
+	Cancel(j *Job)
+	// Abort resolves every job still queued or running. It is the
+	// forced half of Shutdown, called after every job context fired.
+	Abort()
+	// Close stops the executor's goroutines once every job is terminal.
+	Close()
+	// Health adds executor fields to the /healthz document.
+	Health(doc map[string]any)
+	// CAS returns the store served at /v1/cas (nil answers 404) and the
+	// counter an integrity-rejected PUT is booked under.
+	CAS() (store *experiment.Cache, rejectMetric string)
+}
+
+// QueueFullError is Submit's pushback: the executor's queue is Depth
+// deep, and RetryAfter (seconds) is its estimate of the time to drain.
+type QueueFullError struct {
+	Depth      int
+	RetryAfter int
+}
+
+func (e *QueueFullError) Error() string {
+	return fmt.Sprintf("queue full (%d deep); retry later", e.Depth)
+}
+
+// Server is the job front door: the HTTP surface (Handler), the job
+// table and the drain sequence, over an Executor that runs the jobs. It
+// is independent of any particular http.Server so tests can drive it
+// with httptest.
 type Server struct {
-	cfg Config
-	eng *experiment.Engine
-	reg *telemetry.Registry
-	mux *http.ServeMux
-	now func() time.Time
+	cfg  Config
+	exec Executor
+	reg  *telemetry.Registry
+	mux  *http.ServeMux
+	now  func() time.Time
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-	queue      chan *job
-	workers    sync.WaitGroup
-
-	drain DrainEstimator
+	baseCtx     context.Context
+	baseCancel  context.CancelFunc
+	subscribers atomic.Int64 // open SSE streams
 
 	mu       sync.Mutex
 	draining bool
 	seq      uint64
-	jobs     map[string]*job
+	jobs     map[string]*Job
 	order    []string // insertion order, for retention eviction
 	inflight sync.WaitGroup
 }
 
-// New builds a Server and starts its worker pool.
+// New builds the isampd daemon core: the front door over a local
+// worker pool, which starts immediately.
 func New(cfg Config) *Server {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.RetainJobs < 1 {
-		cfg.RetainJobs = 1024
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 2 << 20
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
+	s := newServer(cfg)
+	s.exec = newPool(s)
+	return s
+}
+
+// NewWithExecutor builds a front door over another executor — the fleet
+// coordinator's remote dispatch.
+func NewWithExecutor(cfg Config, exec Executor) *Server {
+	s := newServer(cfg)
+	s.exec = exec
+	return s
+}
+
+func newServer(cfg Config) *Server {
+	cfg = cfg.WithDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		eng:        experiment.NewEngine(cfg.Workers, cfg.Cache),
-		reg:        reg,
+		reg:        cfg.Registry,
 		mux:        http.NewServeMux(),
-		now:        now,
+		now:        cfg.Now,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		queue:      make(chan *job, cfg.QueueDepth),
-		jobs:       make(map[string]*job),
+		jobs:       make(map[string]*Job),
 	}
-	s.eng.AttachMetrics(reg)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
@@ -155,10 +209,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("PUT /v1/cas/{addr}", s.handleCASPut)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	for i := 0; i < cfg.Workers; i++ {
-		s.workers.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
@@ -182,21 +232,40 @@ func (s *Server) slogAt(level slog.Level, msg string, args ...any) {
 	}
 }
 
-// jobFinished runs once per terminal traced job (job.onFinish): it
-// feeds the attribution ledger into the per-stage duration histograms
-// and, when TraceDir is set, dumps the job's merged Chrome trace.
-func (s *Server) jobFinished(j *job) {
-	l := j.trace.Ledger()
-	if l == nil {
-		return
+// record books one job's outcome (Job.Finish calls it before the
+// terminal status becomes visible): the attribution ledger feeds the
+// per-stage histograms, the merged Chrome trace is dumped when TraceDir
+// is set, and the terminal counter and duration histogram are bumped.
+func (s *Server) record(j *Job, st JobStatus, finished time.Time) {
+	if l := j.trace.Ledger(); l != nil {
+		for _, row := range l.Rows {
+			s.reg.Histogram(MetricStageUs(row.Stage), telemetry.ExpBuckets(1, 24)).
+				Observe(uint64(row.Ns / 1e3))
+		}
+		if s.cfg.TraceDir != "" {
+			s.dumpTrace(j)
+		}
 	}
-	for _, row := range l.Rows {
-		s.reg.Histogram(MetricStageUs(row.Stage), telemetry.ExpBuckets(1, 24)).
-			Observe(uint64(row.Ns / 1e3))
+	switch st {
+	case StatusDone:
+		s.reg.Counter(MetricJobsCompleted).Inc()
+	case StatusCancelled:
+		s.reg.Counter(MetricJobsCancelled).Inc()
+	default:
+		s.reg.Counter(MetricJobsFailed).Inc()
 	}
-	if s.cfg.TraceDir == "" {
-		return
+	s.reg.Histogram(MetricJobDuration, telemetry.ExpBuckets(1, 16)).
+		Observe(uint64(finished.Sub(j.created).Milliseconds()))
+	s.logf("job %s %s", j.id, st)
+	level := slog.LevelInfo
+	if st != StatusDone {
+		level = slog.LevelWarn
 	}
+	s.slogAt(level, "job finished", "job", j.id, "status", string(st))
+}
+
+// dumpTrace writes the job's merged Chrome trace to TraceDir.
+func (s *Server) dumpTrace(j *Job) {
 	path := filepath.Join(s.cfg.TraceDir, j.id+".trace.json")
 	f, err := os.Create(path)
 	if err == nil {
@@ -214,10 +283,10 @@ func (s *Server) jobFinished(j *job) {
 // Shutdown drains the daemon (DESIGN.md §10): new submissions are
 // refused immediately; queued and running jobs get until ctx's deadline
 // to finish on their own; past the deadline every remaining job context
-// is cancelled, which stops running VMs at their next observation point
-// and resolves those jobs as cancelled. Shutdown returns once every job
-// is terminal and every worker has exited. ctx.Err() is returned when
-// the hard-cancel path was taken, nil on a clean drain.
+// is cancelled (stopping running VMs at their next observation point)
+// and the executor resolves what is left as cancelled. Shutdown returns
+// once every job is terminal and the executor has stopped. ctx.Err() is
+// returned when the hard-cancel path was taken, nil on a clean drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -230,146 +299,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		forced = ctx.Err()
-		s.baseCancel() // stop running VMs at the next observation point
-		s.resolveQueued()
+		s.baseCancel()
+		s.exec.Abort()
 		<-done
 	}
 	s.baseCancel()
-	s.workers.Wait()
+	s.exec.Close()
 	return forced
-}
-
-// resolveQueued marks every job still sitting in the queue cancelled, so
-// a forced shutdown cannot strand accepted jobs in a non-terminal state.
-func (s *Server) resolveQueued() {
-	for {
-		select {
-		case j := <-s.queue:
-			s.reg.Gauge(MetricQueueDepth).Add(-1)
-			j.finish(StatusCancelled, "server shutting down", nil)
-			s.reg.Counter(MetricJobsCancelled).Inc()
-		default:
-			return
-		}
-	}
-}
-
-// worker pulls jobs from the queue until shutdown.
-func (s *Server) worker() {
-	defer s.workers.Done()
-	for {
-		select {
-		case j := <-s.queue:
-			s.reg.Gauge(MetricQueueDepth).Add(-1)
-			s.drain.Record(s.now())
-			s.runJob(j)
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
-}
-
-// runJob executes one job through the experiment engine and resolves its
-// terminal state.
-func (s *Server) runJob(j *job) {
-	if !j.start() {
-		return // cancelled while queued; already terminal
-	}
-	s.logf("job %s running (%s)", j.id, j.spec.describe())
-	s.slogAt(slog.LevelInfo, "job running", "job", j.id, "spec", j.spec.describe())
-	// The VM-trace decision is read at pickup: toggling to full applies to
-	// jobs whose run starts after the toggle, and only jobs that carry a
-	// span chain (mode was not off at accept) can attach one.
-	full := j.trace != nil && s.cfg.Obs.Mode() == obs.ModeFull
-	cells := []experiment.Cell{jobCell(j.spec, j, full)}
-	if j.spec.Overlap {
-		cells = append(cells, jobCell(j.spec.overlapSpec(), nil, false))
-	}
-	res, err := s.eng.DoContext(j.ctx, experiment.Config{Artifact: "service", Engine: s.eng, Owner: j.id}, cells)
-	if err != nil {
-		st, msg := s.classify(j, err)
-		j.finish(st, msg, nil)
-		s.account(j, st)
-		return
-	}
-	var ref *experiment.CellResult
-	if len(res) > 1 {
-		ref = res[1]
-	}
-	j.finish(StatusDone, "", buildResult(j.spec, res[0], ref))
-	s.account(j, StatusDone)
-}
-
-// classify maps a cell error to the job's terminal state: an operator
-// DELETE (or daemon drain) is cancelled; a deadline is failed — the job
-// ran out of its own budget; anything else is failed with the cause.
-func (s *Server) classify(j *job, err error) (JobStatus, string) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return StatusFailed, fmt.Sprintf("timeout after %dms", j.spec.TimeoutMs)
-	case j.cancelRequested():
-		return StatusCancelled, "cancelled"
-	case errors.Is(err, context.Canceled) || vm.IsCancelled(err):
-		return StatusCancelled, "cancelled: " + err.Error()
-	default:
-		return StatusFailed, err.Error()
-	}
-}
-
-// account bumps the terminal-state counters and the duration histogram.
-func (s *Server) account(j *job, st JobStatus) {
-	switch st {
-	case StatusDone:
-		s.reg.Counter(MetricJobsCompleted).Inc()
-	case StatusCancelled:
-		s.reg.Counter(MetricJobsCancelled).Inc()
-	default:
-		s.reg.Counter(MetricJobsFailed).Inc()
-	}
-	s.reg.Histogram(MetricJobDuration, telemetry.ExpBuckets(1, 16)).
-		Observe(uint64(s.now().Sub(j.created).Milliseconds()))
-	s.logf("job %s %s", j.id, st)
-	level := slog.LevelInfo
-	if st != StatusDone {
-		level = slog.LevelWarn
-	}
-	s.slogAt(level, "job finished", "job", j.id, "status", string(st))
-}
-
-// buildResult assembles the job's terminal payload from the engine
-// cell(s).
-func buildResult(spec JobSpec, main, ref *experiment.CellResult) *JobResult {
-	res := &JobResult{
-		Return:             main.Return,
-		Output:             main.Output,
-		Stats:              main.Stats,
-		CodeSize:           main.CodeSize,
-		CheckingCodeSize:   main.CheckingCodeSize,
-		DuplicatedCodeSize: main.DuplicatedCodeSize,
-	}
-	for _, p := range main.Profiles {
-		res.Profiles = append(res.Profiles, dumpProfile(p))
-	}
-	if spec.Verify {
-		res.Oracle = &OracleVerdict{
-			OK:         true, // a violation fails the cell before it gets here
-			Events:     main.Aux["oracle-events"],
-			ExpectedP1: main.Aux["oracle-expected-p1"],
-		}
-	}
-	if ref != nil {
-		n := len(main.Profiles)
-		if len(ref.Profiles) < n {
-			n = len(ref.Profiles)
-		}
-		for i := 0; i < n; i++ {
-			res.Overlap = append(res.Overlap, ProfileOverlap{
-				Name:    main.Profiles[i].Name,
-				Percent: profile.Overlap(main.Profiles[i], ref.Profiles[i]),
-			})
-		}
-	}
-	return res
 }
 
 // --- HTTP handlers ---
@@ -386,32 +322,39 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// handleSubmit admits a job: validate, register, enqueue — or push back.
-// Backpressure is non-negotiable: the queue send never blocks; a full
-// queue answers 429 with Retry-After so clients back off instead of the
-// daemon buffering without bound.
+// decodeBody decodes exactly one JSON value of at most MaxBodyBytes into
+// v, rejecting unknown fields and trailing data. On failure it has
+// already answered (413 or 400) and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
+			return false
+		}
+		writeErr(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return false
+	}
+	if dec.More() {
+		writeErr(w, http.StatusBadRequest, "invalid request body: trailing data after the JSON value")
+		return false
+	}
+	return true
+}
+
+// handleSubmit admits a job: validate, register, hand to the executor —
+// or push back. Backpressure is non-negotiable: Submit never blocks; a
+// full queue answers 429 with Retry-After so clients back off instead
+// of the daemon buffering without bound.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The span chain opens in StageAccept before the body is read, so the
 	// accept stage covers request decoding. A rejected request abandons
 	// the unnamed chain, which records nothing (obs.JobTrace.SetJob).
 	tr := s.cfg.Obs.StartJob()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return
-	}
-	// One JSON value per request: trailing data is a malformed body, not
-	// a second job.
-	if dec.More() {
-		writeErr(w, http.StatusBadRequest, "invalid request body: trailing data after job spec")
+	if !s.decodeBody(w, r, &spec) {
 		return
 	}
 	tr.Begin(obs.StageValidate, "")
@@ -428,36 +371,42 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seq++
-	id := fmt.Sprintf("job-%06d", s.seq)
-	j := newJob(id, spec, s.baseCtx, s.now)
-	j.trace = tr
-	j.onFinish = s.jobFinished
-	select {
-	case s.queue <- j:
-		tr.SetJob(id)
-		tr.Begin(obs.StageQueueWait, "")
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.evictLocked()
-		s.inflight.Add(1)
-		go func() { <-j.done; s.inflight.Done() }()
-		s.mu.Unlock()
-		s.reg.Counter(MetricJobsAccepted).Inc()
-		s.reg.Gauge(MetricQueueDepth).Add(1)
-		s.logf("job %s accepted (%s)", id, spec.describe())
-		s.slogAt(slog.LevelInfo, "job accepted", "job", id, "spec", spec.describe())
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": string(StatusQueued)})
-	default:
+	j := newJob(fmt.Sprintf("job-%06d", s.seq), spec, s.baseCtx, s.now)
+	j.trace, j.srv = tr, s
+	s.inflight.Add(1)
+	if err := s.exec.Submit(j); err != nil {
 		s.seq-- // id not used
-		j.cancel()
+		s.inflight.Done()
 		s.mu.Unlock()
+		j.cancel()
 		s.reg.Counter(MetricJobsRejected).Inc()
-		s.slogAt(slog.LevelWarn, "job rejected", "reason", "queue full", "depth", s.cfg.QueueDepth)
-		// Retry-After is proportional: the observed drain rate's estimate
-		// of how long clearing the full queue will take, not a constant.
-		w.Header().Set("Retry-After", s.drain.Header(s.cfg.QueueDepth, s.now()))
-		writeErr(w, http.StatusTooManyRequests, "queue full (%d deep); retry later", s.cfg.QueueDepth)
+		retry := 1
+		var full *QueueFullError
+		if errors.As(err, &full) {
+			retry = full.RetryAfter
+		}
+		s.slogAt(slog.LevelWarn, "job rejected", "reason", err.Error())
+		w.Header().Set("Retry-After", strconv.Itoa(retry))
+		writeErr(w, http.StatusTooManyRequests, "%v", err)
+		return
 	}
+	// The drain accounting waits on done in its own goroutine rather than
+	// in Job.Finish. Spawning it here is also a scheduling choice: it
+	// takes this P's run-next slot, so a pool worker the Submit just
+	// woke lands in the run queue, where an idle P steals it, instead of
+	// taking over this P once the handler returns and delaying the
+	// client's follow-up request (SSE open, soak-mix on 2 CPUs: 55 µs
+	// median this way, 2.9 ms the other).
+	go func() { <-j.done; s.inflight.Done() }()
+	tr.SetJob(j.id)
+	s.jobs[j.id] = j
+	s.order = append(s.order, j.id)
+	s.evictLocked()
+	s.mu.Unlock()
+	s.reg.Counter(MetricJobsAccepted).Inc()
+	s.logf("job %s accepted (%s)", j.id, spec.describe())
+	s.slogAt(slog.LevelInfo, "job accepted", "job", j.id, "spec", spec.describe())
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": j.id, "status": string(j.Status())})
 }
 
 // evictLocked drops the oldest terminal jobs beyond the retention cap.
@@ -474,21 +423,21 @@ func (s *Server) evictLocked() {
 	}
 }
 
-// lookup finds a job by the request's {id} path value.
-func (s *Server) lookup(r *http.Request) (*job, bool) {
+// lookup finds the request's {id} job, answering 404 when it is unknown.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[r.PathValue("id")]
+	s.mu.Unlock()
+	if !ok {
+		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+	}
 	return j, ok
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
+	if j, ok := s.lookup(w, r); ok {
+		writeJSON(w, http.StatusOK, j.doc())
 	}
-	writeJSON(w, http.StatusOK, j.view())
 }
 
 // handleTrace serves the job's merged Chrome trace: its wall-clock span
@@ -496,9 +445,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // events aligned to wall time (DESIGN.md §14). Live jobs get the spans
 // closed so far; the document is complete once the job is terminal.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
+	j, ok := s.lookup(w, r)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	if j.trace == nil {
@@ -539,8 +487,7 @@ func (s *Server) handleObsSet(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Mode string `json:"mode"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid request body: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	m, err := obs.ParseMode(req.Mode)
@@ -555,17 +502,17 @@ func (s *Server) handleObsSet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
+	j, ok := s.lookup(w, r)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	was := j.requestCancel()
-	code := http.StatusAccepted
-	if was.Terminal() {
-		code = http.StatusConflict // nothing left to cancel
+	if j.requestCancel().Terminal() {
+		// Nothing left to cancel.
+		writeJSON(w, http.StatusConflict, map[string]string{"id": j.id, "status": string(j.Status())})
+		return
 	}
-	writeJSON(w, code, map[string]string{"id": j.id, "status": string(j.Status())})
+	s.exec.Cancel(j)
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": j.id, "status": string(j.Status())})
 }
 
 // Introspection is a point-in-time snapshot of the daemon's internal
@@ -581,7 +528,7 @@ type Introspection struct {
 	Queued   int `json:"queued"`
 	Running  int `json:"running"`
 	Terminal int `json:"terminal"`
-	// Subscribers counts open SSE event streams across retained jobs.
+	// Subscribers counts open SSE event streams.
 	Subscribers int `json:"subscribers"`
 	// Goroutines is runtime.NumGoroutine() at snapshot time.
 	Goroutines int `json:"goroutines"`
@@ -595,17 +542,13 @@ type Introspection struct {
 func (s *Server) Introspect() Introspection {
 	s.mu.Lock()
 	in := Introspection{Draining: s.draining}
-	jobs := make([]*job, 0, len(s.jobs))
+	jobs := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
 	}
 	s.mu.Unlock()
 	for _, j := range jobs {
-		j.mu.Lock()
-		st := j.status
-		in.Subscribers += len(j.subs)
-		j.mu.Unlock()
-		switch st {
+		switch j.Status() {
 		case StatusQueued:
 			in.Queued++
 		case StatusRunning:
@@ -614,6 +557,7 @@ func (s *Server) Introspect() Introspection {
 			in.Terminal++
 		}
 	}
+	in.Subscribers = int(s.subscribers.Load())
 	in.Goroutines = runtime.NumGoroutine()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -641,6 +585,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Obs != nil {
 		doc["obs"] = s.cfg.Obs.Mode().String()
 	}
+	s.exec.Health(doc)
 	writeJSON(w, http.StatusOK, doc)
 }
 
@@ -652,13 +597,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams the job's telemetry metrics series as Server-Sent
 // Events: one "columns" event when the column set freezes, one "metrics"
 // event per captured row (at the job's events_interval cycle cadence),
-// and a final "done" event carrying the terminal status. Jobs resolved
-// from the memo table or the on-disk cache stream only "done" — their
-// VM never ran here, so there are no rows (DESIGN.md §10).
+// then a "ledger" event (traced jobs) and a final "done" event carrying
+// the terminal status. Jobs resolved from the memo table or a cache
+// stream only the terminal events — their VM never ran for them, so
+// there are no rows (DESIGN.md §10). A fleet job's rows are its worker's,
+// relayed by the coordinator.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
+	j, ok := s.lookup(w, r)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -669,13 +615,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
+	s.subscribers.Add(1)
+	defer s.subscribers.Add(-1)
 
-	wake, unsub := j.subscribe()
-	defer unsub()
 	sent := 0
 	sentCols := false
-	flush := func() bool {
-		cols, rows := j.eventsSince(sent)
+	flush := func() {
+		cols, rows := j.EventsSince(sent)
 		if !sentCols && cols != nil {
 			data, _ := json.Marshal(cols)
 			fmt.Fprintf(w, "event: columns\ndata: %s\n\n", data)
@@ -690,15 +636,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		sent += len(rows)
 		fl.Flush()
-		return true
 	}
 	for {
+		wake := j.eventWake()
 		flush()
 		select {
 		case <-wake:
 		case <-j.done:
 			flush() // rows published between the last flush and finish
-			// The span chain closes before done does (job.finish), so the
+			// The span chain closes before done does (Job.Finish), so the
 			// ledger streamed here is final: stage sums equal latency.
 			if l := j.trace.Ledger(); l != nil {
 				data, _ := json.Marshal(l)

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"instrsample/internal/obs"
 	"instrsample/internal/telemetry"
 )
 
@@ -66,6 +67,20 @@ func mustAccept(t *testing.T, base string, spec JobSpec) string {
 		t.Fatalf("submit: no id in %v", m)
 	}
 	return id
+}
+
+// jobView decodes the GET /v1/jobs/{id} document (jobDoc) with the
+// result as its typed JobResult.
+type jobView struct {
+	ID       string      `json:"id"`
+	Status   JobStatus   `json:"status"`
+	Spec     string      `json:"spec"`
+	Created  time.Time   `json:"created"`
+	Started  *time.Time  `json:"started,omitempty"`
+	Finished *time.Time  `json:"finished,omitempty"`
+	Error    string      `json:"error,omitempty"`
+	Result   *JobResult  `json:"result,omitempty"`
+	Ledger   *obs.Ledger `json:"ledger,omitempty"`
 }
 
 // getJob fetches a job's view.
@@ -576,7 +591,7 @@ func TestCellKeyIgnoresEventsCadence(t *testing.T) {
 
 // TestEventLogConcurrentPublishers drives the job event log — the store
 // behind SSE backlog replay — from many concurrent publishers while
-// readers consume incrementally via eventsSince, and checks the replay
+// readers consume incrementally via EventsSince, and checks the replay
 // guarantees the handler relies on: the column set freezes at the first
 // batch, rows only ever append (successive reads are prefix-consistent),
 // no row is lost or duplicated, and each publisher's rows appear in its
@@ -609,20 +624,20 @@ func TestEventLogConcurrentPublishers(t *testing.T) {
 						Values: []int64{int64(p), int64(seq + i)},
 					}
 				}
-				j.appendEvents(cols, batch)
+				j.AppendEvents(cols, batch)
 				seq += n
 			}
 		}(p)
 	}
 
 	// A concurrent reader consuming incrementally, exactly as the SSE
-	// handler does: every eventsSince(sent) call must return rows it has
+	// handler does: every EventsSince(sent) call must return rows it has
 	// not seen, in log order, with earlier rows unchanged.
 	readerDone := make(chan []telemetry.SeriesRow, 1)
 	go func() {
 		var got []telemetry.SeriesRow
 		for len(got) < totalRows {
-			_, rows := j.eventsSince(len(got))
+			_, rows := j.EventsSince(len(got))
 			got = append(got, rows...)
 		}
 		readerDone <- got
@@ -637,7 +652,7 @@ func TestEventLogConcurrentPublishers(t *testing.T) {
 
 	// A late subscriber replaying the whole backlog at once (the SSE
 	// handler's first flush) must see the identical sequence.
-	gotCols, replay := j.eventsSince(0)
+	gotCols, replay := j.EventsSince(0)
 	if !reflect.DeepEqual(gotCols, cols) {
 		t.Errorf("columns = %v, want %v (frozen at first batch)", gotCols, cols)
 	}
@@ -667,8 +682,8 @@ func TestEventLogConcurrentPublishers(t *testing.T) {
 	}
 
 	// Offsets past the end return no rows but still report the columns.
-	if c, rows := j.eventsSince(totalRows + 5); rows != nil || !reflect.DeepEqual(c, cols) {
-		t.Errorf("eventsSince past end = (%v, %d rows), want (columns, none)", c, len(rows))
+	if c, rows := j.EventsSince(totalRows + 5); rows != nil || !reflect.DeepEqual(c, cols) {
+		t.Errorf("EventsSince past end = (%v, %d rows), want (columns, none)", c, len(rows))
 	}
 }
 

@@ -1,5 +1,7 @@
-// Package service implements the profiling-as-a-service daemon behind
-// cmd/isampd: a bounded-queue HTTP job API over the experiment engine.
+// Package service implements the profiling-as-a-service job front door
+// behind cmd/isampd and cmd/isampfleet: one HTTP job API (Server) over
+// an Executor — a bounded-queue worker pool on the experiment engine
+// for isampd, remote dispatch (internal/fabric) for isampfleet.
 // Jobs — assembly sources or named suite benchmarks, with the same
 // variation/trigger/interval vocabulary as the isamp flags — are
 // validated, queued under backpressure (429 once the queue is full,

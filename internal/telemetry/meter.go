@@ -20,14 +20,6 @@ const (
 	MetricDupResidency = "vm.dup.residency_ppm"   // gauge: dup cycles per million cycles
 	MetricOverhead     = "vm.overhead.cycles"     // counter: modelled instrumentation cycles
 	MetricCheckRate    = "vm.checks_per_interval" // histogram: checks between captures
-
-	// Fusion coverage, recorded post-run via RecordFusion (the fused
-	// tier only runs observer-free, so these cannot arrive as events).
-	MetricFusionInstrs     = "vm.fusion.instrs"       // counter: instructions retired on the fused tier
-	MetricFusionFused      = "vm.fusion.fused"        // counter: instructions retired inside superinstructions
-	MetricFusionDispatches = "vm.fusion.dispatches"   // counter: fused-stream tokens dispatched
-	MetricFusionFraction   = "vm.fusion.fraction_ppm" // gauge: fused instrs per million executed instrs
-	MetricFusionByKind     = "vm.fusion.kind"         // counter, suffixed ".<kind>": superinstruction executions
 )
 
 // Meter feeds a metrics Registry from the vm.Observer event stream and
@@ -176,28 +168,6 @@ func (m *Meter) capture(now uint64) {
 // Finish folds open state and captures a final row at the current
 // cycle. Call it once after the run completes.
 func (m *Meter) Finish() { m.capture(m.now()) }
-
-// RecordFusion publishes a run's superinstruction coverage
-// (vm.VM.FusionStats) into the registry. Installing any observer — the
-// Meter included — disables fusion, so fused runs are observer-free and
-// their coverage arrives here after the fact rather than as events:
-// call it once per fused run, with the run's Stats().Instrs as
-// totalInstrs. Calling it with all-zero stats (fusion off or degraded)
-// records nothing.
-func (m *Meter) RecordFusion(fs vm.FusionStats, totalInstrs uint64) {
-	if fs.Instrs == 0 {
-		return
-	}
-	m.reg.Counter(MetricFusionInstrs).Add(fs.Instrs)
-	m.reg.Counter(MetricFusionFused).Add(fs.Fused)
-	m.reg.Counter(MetricFusionDispatches).Add(fs.Dispatches)
-	if totalInstrs > 0 {
-		m.reg.Gauge(MetricFusionFraction).Set(int64(fs.Fused * 1_000_000 / totalInstrs))
-	}
-	for kind, n := range fs.ByKind {
-		m.reg.Counter(MetricFusionByKind + "." + kind).Add(n)
-	}
-}
 
 func (m *Meter) dupEnter(tid int, now uint64) {
 	t := m.threadState(tid)
