@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-short bench-ab experiments \
+.PHONY: ci fmt vet build test race bench bench-short experiments \
 	clean-cache fuzz fuzz-smoke mutation-check telemetry-smoke \
 	service-smoke soak soak-smoke soak-fleet doc-lint fusion-smoke \
 	scenario-smoke obs-smoke fleet-smoke stress
@@ -149,14 +149,15 @@ doc-lint:
 # Fusion smoke for ci, two halves. (1) Correctness: the seeded
 # differential sweep plus every fused-block edge-case test (trap inside
 # a superinstruction, cancellation/quantum mid-pair, observer
-# degradation, coverage floors) under -race. (2) Performance floor: a
-# quick interleaved A/B run that fails if the median same-window
-# fused/unfused ratio drops below 1.0 — fusion must never make the fast
-# dispatcher slower than just turning it off.
+# degradation, operand-overflow fallback, coverage floors) under -race.
+# (2) Performance floor: BenchmarkFusionFloor runs interleaved
+# same-window rounds on compress and fails if the median fused/generic
+# ratio drops below 1.0 — the fused tier must never make the fast
+# dispatcher slower than the generic path it replaces.
 fusion-smoke:
 	$(GO) test -race -run '^(TestFusionDifferentialSweep|TestFused|TestObserverDisablesFusion)' \
 		./internal/vm/
-	$(GO) run ./cmd/benchab -quick -floor 1.0
+	$(GO) test -run '^$$' -bench '^BenchmarkFusionFloor$$' -benchtime 1x .
 
 # Scenario smoke for ci, two halves. (1) The seeded workload-family
 # sweep — generated programs recorded on the fast dispatcher, replayed
@@ -178,15 +179,6 @@ scenario-smoke:
 # record curated before/after numbers from these benchmarks.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# The interleaved fused/unfused/reference A/B comparison (the tool
-# behind the recorded BENCH_PR7.json): same-window per-round ratios,
-# median reported (see BENCHMARKING.md for why separate-run numbers are
-# not comparable on this host). The report lands in the gitignored
-# .bench_build/ so a rerun never overwrites the historical snapshot.
-bench-ab:
-	@mkdir -p .bench_build
-	$(GO) run ./cmd/benchab -o .bench_build/benchab.json
 
 # One iteration of every benchmark: a smoke test that the bench harness
 # itself stays green, cheap enough for ci.

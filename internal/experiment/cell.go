@@ -109,9 +109,10 @@ type OptsSpec struct {
 	IterBudget int64
 	// Verify attaches the runtime invariant oracle (internal/oracle) to
 	// the run: any invariant violation fails the cell, and the cell's
-	// Aux carries the oracle's counters. The oracle disables the VM's
-	// pure-block batching, so verified cells measure slightly different
-	// cycle counts — Verify is part of the cell key.
+	// Aux carries the oracle's counters. The oracle leaves the run's
+	// Stats bit-identical (the vm.Observer contract); Verify is part of
+	// the cell key because it adds those Aux counters and can fail the
+	// cell.
 	Verify bool
 }
 

@@ -48,19 +48,6 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-func TestNilStateIsOff(t *testing.T) {
-	var s *State
-	if s.Mode() != ModeOff {
-		t.Fatalf("nil State mode = %v, want off", s.Mode())
-	}
-	if s.Tracer() != nil {
-		t.Fatal("nil State returned a tracer")
-	}
-	if tr := s.StartJob(); tr != nil {
-		t.Fatal("nil State started a job trace")
-	}
-}
-
 func TestStartJobOffReturnsNilAndNilTraceIsSafe(t *testing.T) {
 	s := NewState(Options{Mode: ModeOff})
 	tr := s.StartJob()

@@ -667,14 +667,19 @@ func TestObsGetEndpoint(t *testing.T) {
 		t.Errorf("spans_dropped = %v, want 0", m["spans_dropped"])
 	}
 
+	// A front door configured without obs state gets one in ModeOff.
 	_, h2 := newTestServer(t, Config{})
 	resp2, err := http.Get(h2.URL + "/v1/obs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Errorf("GET /v1/obs without obs state: %d, want 404", resp2.StatusCode)
+	defer resp2.Body.Close()
+	var m2 map[string]any
+	if err := json.NewDecoder(resp2.Body).Decode(&m2); err != nil {
+		t.Fatal(err)
+	}
+	if resp2.StatusCode != http.StatusOK || m2["mode"] != "off" {
+		t.Errorf("GET /v1/obs without obs state: %d mode %v, want 200 mode off", resp2.StatusCode, m2["mode"])
 	}
 }
 

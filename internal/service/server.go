@@ -67,10 +67,8 @@ type Config struct {
 	// attribute). Independent of Logf; set both to get both.
 	Logger *slog.Logger
 	// Obs is the daemon's observability state (internal/obs): the
-	// runtime-togglable span/ledger mode and the shared span ring. Nil
-	// means the obs layer is structurally absent — no mode check, no
-	// chains, no /v1/obs — which is the baseline leg of the benchab A/B
-	// comparison (DESIGN.md §14).
+	// runtime-togglable span/ledger mode and the shared span ring
+	// (DESIGN.md §14). Nil gets a fresh state in obs.ModeOff.
 	Obs *obs.State
 	// TraceDir, when non-empty, receives one merged Chrome trace JSON
 	// file per finished traced job (<id>.trace.json) — the -trace-dir
@@ -105,6 +103,9 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Now == nil {
 		c.Now = time.Now
+	}
+	if c.Obs == nil {
+		c.Obs = obs.NewState(obs.Options{})
 	}
 	return c
 }
@@ -469,10 +470,6 @@ func (s *Server) obsView() map[string]any {
 }
 
 func (s *Server) handleObsGet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Obs == nil {
-		writeErr(w, http.StatusNotFound, "observability layer not configured")
-		return
-	}
 	writeJSON(w, http.StatusOK, s.obsView())
 }
 
@@ -480,10 +477,6 @@ func (s *Server) handleObsGet(w http.ResponseWriter, r *http.Request) {
 // Jobs already carrying a span chain finish it; jobs accepted after the
 // switch follow the new mode.
 func (s *Server) handleObsSet(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Obs == nil {
-		writeErr(w, http.StatusNotFound, "observability layer not configured")
-		return
-	}
 	var req struct {
 		Mode string `json:"mode"`
 	}
@@ -582,9 +575,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"heap_bytes":  in.HeapBytes,
 		"build_id":    experiment.BuildID(),
 	}
-	if s.cfg.Obs != nil {
-		doc["obs"] = s.cfg.Obs.Mode().String()
-	}
+	doc["obs"] = s.cfg.Obs.Mode().String()
 	s.exec.Health(doc)
 	writeJSON(w, http.StatusOK, doc)
 }

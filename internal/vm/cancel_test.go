@@ -9,6 +9,7 @@ package vm_test
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,8 +82,8 @@ func TestCancelArmedUnfiredIdentical(t *testing.T) {
 // TestCancelPrefired fires the token before Run: both dispatchers must
 // stop at the very first observation point with the identical
 // CancelError and identical partial Stats. The plain variant keeps the
-// fast dispatcher on the pure-block batching path, so this also covers
-// the prefix-sum counter reconstruction in pure.go.
+// fast dispatcher on the fused tier, so this also covers the prefix-sum
+// counter reconstruction at a fused yieldpoint (fuse.go).
 func TestCancelPrefired(t *testing.T) {
 	prog := ir.RandomProgram(11, ir.RandomProgramConfig{})
 	for _, v := range []diffVariant{diffVariants()[0], diffVariants()[2]} {
@@ -215,10 +216,19 @@ func TestCancelAsyncStopsHotLoop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
+	// Fire only once the run has provably scheduled its first thread:
+	// the Sched hook runs on the VM goroutine immediately before the
+	// thread executes, so the token lands on a running loop.
 	tok := vm.NewCancel()
-	m := vm.New(res.Prog, vm.Config{MaxCycles: 1 << 62, Cancel: tok})
+	started := make(chan struct{})
+	var once sync.Once
+	m := vm.New(res.Prog, vm.Config{
+		MaxCycles: 1 << 62,
+		Cancel:    tok,
+		Sched:     func(int) { once.Do(func() { close(started) }) },
+	})
 	go func() {
-		time.Sleep(5 * time.Millisecond)
+		<-started
 		tok.Fire()
 	}()
 	done := make(chan error, 1)

@@ -74,9 +74,9 @@ func diffInstrumenters() []instr.Instrumenter {
 }
 
 // diffRun compiles the program fresh (so instrumentation runtimes start
-// empty) and runs it under one dispatcher. fusion selects the fast
-// path's superinstruction tier; the reference dispatcher ignores it.
-func diffRun(t *testing.T, prog *ir.Program, v diffVariant, seed uint64, reference bool, fusion vm.FusionMode) (*vm.Result, []instr.Runtime, error) {
+// empty) and runs it under one dispatcher. A non-nil observer keeps the
+// fast path on its generic loop (no fused tier); a nil one lets it fuse.
+func diffRun(t *testing.T, prog *ir.Program, v diffVariant, seed uint64, reference bool, obs vm.Observer) (*vm.Result, []instr.Runtime, error) {
 	t.Helper()
 	opts := compile.Options{Framework: v.fw}
 	if v.inst {
@@ -91,7 +91,7 @@ func diffRun(t *testing.T, prog *ir.Program, v diffVariant, seed uint64, referen
 		MaxCycles: 1 << 33,
 		ICache:    v.ic,
 		Reference: reference,
-		Fusion:    fusion,
+		Observer:  obs,
 	}
 	if v.trig != nil {
 		cfg.Trigger = v.trig(seed)
@@ -150,12 +150,15 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 				t.Fatalf("generated program invalid: %v", err)
 			}
 			for _, v := range diffVariants() {
-				ref, refRT, rerr := diffRun(t, prog, v, seed, true, vm.FusionAuto)
-				// The fast dispatcher runs under both fusion modes; each
-				// must match the reference bit for bit.
-				for _, fusion := range []vm.FusionMode{vm.FusionAuto, vm.FusionOff} {
-					label := fmt.Sprintf("%s/fusion=%d", v.name, fusion)
-					fast, fastRT, ferr := diffRun(t, prog, v, seed, false, fusion)
+				ref, refRT, rerr := diffRun(t, prog, v, seed, true, nil)
+				// The fast dispatcher runs on both of its paths, fused
+				// and generic; each must match the reference bit for bit.
+				for _, leg := range []struct {
+					name string
+					obs  vm.Observer
+				}{{"fused", nil}, {"generic", noopObserver{}}} {
+					label := v.name + "/" + leg.name
+					fast, fastRT, ferr := diffRun(t, prog, v, seed, false, leg.obs)
 					if (ferr == nil) != (rerr == nil) {
 						t.Fatalf("%s: fast err %v, reference err %v", label, ferr, rerr)
 					}
@@ -230,7 +233,7 @@ func TestDifferentialTraps(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfgs := []vm.Config{
 				{MaxStack: 64},
-				{MaxStack: 64, Fusion: vm.FusionOff},
+				{MaxStack: 64, Observer: noopObserver{}},
 				{MaxStack: 64, Reference: true},
 			}
 			msgs := make([]string, len(cfgs))
@@ -245,7 +248,7 @@ func TestDifferentialTraps(t *testing.T) {
 				msgs[i] = err.Error()
 			}
 			if msgs[0] != msgs[1] || msgs[1] != msgs[2] {
-				t.Fatalf("traps differ:\n  fused:     %s\n  unfused:   %s\n  reference: %s", msgs[0], msgs[1], msgs[2])
+				t.Fatalf("traps differ:\n  fused:     %s\n  generic:   %s\n  reference: %s", msgs[0], msgs[1], msgs[2])
 			}
 		})
 	}

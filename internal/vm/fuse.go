@@ -6,17 +6,18 @@ import (
 	"instrsample/internal/ir"
 )
 
-// Superinstruction fusion: the third dispatch tier of the fast path.
+// Superinstruction fusion: the batched dispatch tier of the fast path.
 //
-// The pure-block tier (pure.go) already removed per-instruction cost
-// accounting; what remains per instruction is the fetch + switch
-// dispatch itself. This file removes a measured share of *that*: after
-// blockInfo marks a block pure, the fusion pass peephole-scans it for
-// the hot opcode pairs/triples observed in the benchmark suite
-// (const+ALU, ALU+ALU, compare+branch, field/array pairs, and the
-// add+yield+jmp loop latch), rewrites the block into a parallel stream
-// of fixed-width fused instructions (fInstr), and the fused loop
-// executes that stream with one dispatch per superinstruction.
+// The generic loop (interp.go) pays, per instruction, a cost-table
+// charge, an instruction count and a fetch + switch dispatch. For pure
+// blocks (pure.go) this tier removes all three: the fusion pass
+// peephole-scans each pure block for the hot opcode pairs/triples
+// observed in the benchmark suite (const+ALU, ALU+ALU, compare+branch,
+// field/array pairs, and the add+yield+jmp loop latch), rewrites the
+// block into a parallel stream of fixed-width fused instructions
+// (fInstr), and the fused loop executes that stream with one dispatch
+// per superinstruction, charging the block's cycle cost and instruction
+// count once at its terminator.
 //
 // Dispatch is token-threaded: fInstr.tok is a dense token index and the
 // executor switches over it, which the Go compiler lowers to a jump
@@ -30,7 +31,7 @@ import (
 // ir.Program is never mutated, the reference dispatcher never sees it —
 // and each fInstr records the original pc of its first sub-instruction,
 // so every early exit reconstructs the exact per-instruction counters
-// with the same prefix-sum discipline as pure.go:
+// from the block's prefix sums:
 //
 //   - sub-instructions execute in original order with original
 //     semantics (all destination registers are written, traps use the
@@ -44,25 +45,11 @@ import (
 //     counters for the yield's own original pc, so a resumed frame
 //     restarts at the exact instruction the generic loop would have.
 //
-// Blocks whose operands do not fit the compact encoding fall back to
-// the pure-block tier (fuse[gid] == nil); blocks that are not pure were
-// never eligible. An installed Observer disables fusion entirely along
-// with pure-block batching (graceful degradation: every transfer and
-// yield stays individually observable; Results are bit-identical either
-// way).
-
-// FusionMode selects the fused dispatch tier in Config.
-type FusionMode uint8
-
-const (
-	// FusionAuto (the default) fuses pure blocks whenever the pure-block
-	// tier itself is active: fast dispatcher, cost scale 1, no observer.
-	FusionAuto FusionMode = iota
-	// FusionOff disables the fused tier; the fast path runs the PR 2
-	// pure-block loop unchanged. The reference dispatcher never fuses
-	// under either mode.
-	FusionOff
-)
+// Blocks whose operands do not fit the compact encoding run on the
+// generic path (fuse[gid] == nil), like every block that is not pure.
+// An installed Observer disables fusion entirely (graceful degradation:
+// every transfer and yield stays individually observable on the generic
+// path; Results are bit-identical either way).
 
 // fuseTok is a dense fused-opcode token. Base tokens execute exactly one
 // original instruction; fused tokens execute two or three.
@@ -252,22 +239,24 @@ type kindCount struct {
 	n   uint32
 }
 
-// fusedBlock is the fused stream for one pure block.
+// fusedBlock is the fused stream for one pure block, together with the
+// block's cost table.
 type fusedBlock struct {
 	code []fInstr
-	// total, count and prefix duplicate the block's blockInfo cost
-	// table, and targets/mask cache the terminator's Targets slice and
+	// total is the summed cycle cost of the whole block at cost scale 1;
+	// count is len(Instrs); prefix[i] is the summed cycle cost of
+	// Instrs[:i], so prefix[count] == total.
+	total  uint64
+	count  uint64
+	prefix []uint64
+	// targets and mask cache the terminator's Targets slice and
 	// BackedgeMask (a pure block has exactly one terminator, so they
 	// are exit-invariant): steady-state fused execution touches only
-	// this struct, never blockInfo or the 112-byte original
-	// instructions.
-	total   uint64
-	count   uint64
-	prefix  []uint64
+	// this struct, never the 112-byte original instructions.
 	targets []*ir.Block
 	// next[i] is targets[i]'s fused stream (nil when that block is
 	// unfused), precomputed so a fused->fused transfer is one pointer
-	// load instead of a blockInfo lookup.
+	// load instead of a side-table lookup.
 	next []*fusedBlock
 	mask uint8
 	// execs counts fused-tier entries into this block, entry-granular
@@ -311,10 +300,11 @@ type FusionStats struct {
 }
 
 // FusionStats returns the fusion coverage accumulated so far. The
-// result is never nil-mapped; with fusion disabled all fields are zero.
+// result is never nil-mapped; with fusion disabled (an observer, or the
+// reference dispatcher) all fields are zero.
 func (v *VM) FusionStats() FusionStats {
 	fs := FusionStats{ByKind: make(map[string]uint64)}
-	for gid, fb := range v.fuse {
+	for _, fb := range v.fuse {
 		if fb == nil {
 			continue
 		}
@@ -327,7 +317,7 @@ func (v *VM) FusionStats() FusionStats {
 		}
 		fs.BlockRuns += runs
 		fs.Dispatches += runs * uint64(len(fb.code))
-		fs.Instrs += runs * v.blockInfo[gid].count
+		fs.Instrs += runs * fb.count
 		fs.Fused += runs * uint64(fb.covered)
 		for _, kc := range fb.kinds {
 			fs.ByKind[superNames[kc.tok]] += runs * uint64(kc.n)
@@ -336,27 +326,36 @@ func (v *VM) FusionStats() FusionStats {
 	return fs
 }
 
-// buildFusion builds the fused streams for every pure block. Called
-// once per VM alongside buildBlockInfo, only when the config enables
-// fusion (see Run); blockInfo's GID validation has already run, so a
-// pure mark implies a trustworthy GID.
+// buildFusion builds the GID-indexed fused-stream table for every pure
+// block. Called once per VM, lazily from Run. The table is always sized
+// to the program's GIDs, because the generic loop indexes it at every
+// block transfer; it stays all-nil when the GIDs cannot be trusted (see
+// validGIDs) or an observer is installed, since an observer must see
+// every block transfer and the fused tier hides the intra-chain ones
+// (the Observer cost contract).
 func (v *VM) buildFusion() {
-	v.fuse = make([]*fusedBlock, len(v.blockInfo))
+	size, valid := validGIDs(v.prog)
+	v.fuse = make([]*fusedBlock, size)
+	if !valid || v.obs != nil {
+		return
+	}
 	for _, m := range v.prog.Methods() {
 		for _, b := range m.Blocks {
-			if !v.blockInfo[b.GID].pure {
+			if !pureBlock(b) {
 				continue
 			}
 			fb := fuseBlock(b)
 			if fb == nil {
 				continue
 			}
-			bi := &v.blockInfo[b.GID]
-			fb.total, fb.count, fb.prefix = bi.total, bi.count, bi.prefix
+			fb.prefix = make([]uint64, len(b.Instrs)+1)
+			for i := range b.Instrs {
+				fb.prefix[i+1] = fb.prefix[i] + uint64(v.costTab[b.Instrs[i].Op])
+			}
+			fb.total, fb.count = fb.prefix[len(b.Instrs)], uint64(len(b.Instrs))
 			term := &b.Instrs[len(b.Instrs)-1]
 			fb.targets, fb.mask = term.Targets, term.BackedgeMask
 			v.fuse[b.GID] = fb
-			bi.fb = fb
 		}
 	}
 	// Second pass: wire fused->fused successor pointers (all streams
@@ -375,7 +374,7 @@ func (v *VM) buildFusion() {
 // fuseBlock translates one pure block into a fused stream, greedily
 // matching superinstructions left to right (triples before pairs). It
 // returns nil when any operand overflows the compact fInstr encoding;
-// the block then stays on the pure-block tier.
+// the block then runs on the generic path.
 func fuseBlock(b *ir.Block) *fusedBlock {
 	ins := b.Instrs
 	if len(ins) > 0xFFFF {
@@ -598,37 +597,19 @@ func field16(f int) (int16, bool) {
 	return int16(f), true
 }
 
-// runLinear is the straight-line dispatcher selector behind every
-// pure-block entry point in runThread: it routes each chain segment to
-// the fused tier when the current block has a fused stream and to the
-// pure-block tier otherwise. Preconditions match runPureBlocks: f.Block
-// is pure, f.PC == 0, cost scale 1.
-func (v *VM) runLinear(t *Thread, f *Frame, cycles, icount uint64) (uint64, uint64, bool, error) {
-	for {
-		if fb := v.blockInfo[f.Block.GID].fb; fb != nil {
-			var sched bool
-			var err error
-			cycles, icount, sched, err = v.runFusedBlocks(t, f, fb, cycles, icount)
-			if sched || err != nil {
-				return cycles, icount, sched, err
-			}
-			if v.blockInfo[f.Block.GID].pure {
-				// Encoding-overflow fallback block: run it (and any
-				// pure successors) on the pure-block tier.
-				continue
-			}
-			return cycles, icount, false, nil
-		}
-		return v.runPureBlocks(t, f, cycles, icount)
-	}
-}
-
-// runFusedBlocks executes a chain of fused pure blocks starting at
-// f.Block (which must have a fused stream, with f.PC == 0 and cost
-// scale 1). Cost accounting is identical to runPureBlocks — whole-block
-// precharge at terminators, prefix-sum reconstruction at early exits —
-// except that each loop iteration dispatches one fused token instead of
-// one original instruction. Return conventions match runPureBlocks.
+// runFusedBlocks executes a chain of fused blocks starting at f.Block,
+// whose stream is fb (f.PC == 0, cost scale 1), charging cycles and
+// instruction counts a block at a time. It returns the updated local
+// counters plus how the caller should proceed: err != nil means trap
+// (counters already flushed), sched means runThread should return
+// (true, nil) (counters already flushed), and otherwise dispatch
+// continues in the generic loop at f.Block/f.PC, the first block of the
+// chain without a fused stream.
+//
+// Within a block, cost additions that merely accumulate (OpIO, the
+// OpNewArray zeroing charge) are applied immediately; they commute with
+// the deferred block charge, so every observation point still sees the
+// reference-exact value.
 func (v *VM) runFusedBlocks(t *Thread, f *Frame, fb *fusedBlock, cycles, icount uint64) (uint64, uint64, bool, error) {
 	regs := f.Regs
 	limit := v.cfg.MaxCycles

@@ -8,10 +8,13 @@ package vm_test
 // installed observer degrades gracefully by disabling fusion outright.
 // Each test here pins one of those seams with a hand-built program whose
 // fused encoding is known, then requires bit-identical results across
-// fused, unfused and reference configurations.
+// the three dispatch paths: fused, generic (the fast dispatcher with a
+// no-op observer, which keeps every block off the fused tier) and
+// reference.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"instrsample/internal/bench"
@@ -20,7 +23,7 @@ import (
 	"instrsample/internal/vm"
 )
 
-// tripleRun executes prog under the fused fast path, the unfused fast
+// tripleRun executes prog under the fused fast path, the generic fast
 // path and the reference dispatcher, with base applied to all three, and
 // returns the VMs, results and errors in that order.
 func tripleRun(t *testing.T, prog func() *ir.Program, base vm.Config) ([3]*vm.VM, [3]*vm.Result, [3]error) {
@@ -30,7 +33,7 @@ func tripleRun(t *testing.T, prog func() *ir.Program, base vm.Config) ([3]*vm.VM
 	var errs [3]error
 	for i, mod := range []func(*vm.Config){
 		func(*vm.Config) {},
-		func(c *vm.Config) { c.Fusion = vm.FusionOff },
+		func(c *vm.Config) { c.Observer = noopObserver{} },
 		func(c *vm.Config) { c.Reference = true },
 	} {
 		cfg := base
@@ -45,17 +48,17 @@ func tripleRun(t *testing.T, prog func() *ir.Program, base vm.Config) ([3]*vm.VM
 // message and left identical Stats.
 func requireIdenticalStop(t *testing.T, ms [3]*vm.VM, errs [3]error, want string) {
 	t.Helper()
-	names := [3]string{"fused", "unfused", "reference"}
+	names := [3]string{"fused", "generic", "reference"}
 	for i, err := range errs {
 		if err == nil {
 			t.Fatalf("%s: run completed, want error containing %q", names[i], want)
 		}
 	}
 	if errs[0].Error() != errs[1].Error() || errs[1].Error() != errs[2].Error() {
-		t.Fatalf("errors differ:\n  fused:     %v\n  unfused:   %v\n  reference: %v", errs[0], errs[1], errs[2])
+		t.Fatalf("errors differ:\n  fused:     %v\n  generic:   %v\n  reference: %v", errs[0], errs[1], errs[2])
 	}
 	if ms[0].Stats() != ms[1].Stats() || ms[1].Stats() != ms[2].Stats() {
-		t.Fatalf("stats diverge:\n  fused:     %+v\n  unfused:   %+v\n  reference: %+v",
+		t.Fatalf("stats diverge:\n  fused:     %+v\n  generic:   %+v\n  reference: %+v",
 			ms[0].Stats(), ms[1].Stats(), ms[2].Stats())
 	}
 }
@@ -148,14 +151,14 @@ func latchLoop(iters int64) func() *ir.Program {
 // TestFusedCancelMidSuperinstruction pre-fires a cancel token so the
 // stop lands on the yieldpoint buried inside the add+yield+jmp triple:
 // the fused path must reconstruct the same resume pc and flushed
-// counters as both the unfused tier and the reference dispatcher.
+// counters as both the generic path and the reference dispatcher.
 func TestFusedCancelMidSuperinstruction(t *testing.T) {
 	prog := latchLoop(1 << 40) // effectively unbounded without cancel
 	var ms [3]*vm.VM
 	var errs [3]error
 	for i, mod := range []func(*vm.Config){
 		func(*vm.Config) {},
-		func(c *vm.Config) { c.Fusion = vm.FusionOff },
+		func(c *vm.Config) { c.Observer = noopObserver{} },
 		func(c *vm.Config) { c.Reference = true },
 	} {
 		tok := vm.NewCancel()
@@ -197,7 +200,7 @@ func TestFusedQuantumRotation(t *testing.T) {
 				}
 			}
 			if ms[0].Stats() != ms[1].Stats() || ms[1].Stats() != ms[2].Stats() {
-				t.Fatalf("stats diverge:\n  fused:     %+v\n  unfused:   %+v\n  reference: %+v",
+				t.Fatalf("stats diverge:\n  fused:     %+v\n  generic:   %+v\n  reference: %+v",
 					ms[0].Stats(), ms[1].Stats(), ms[2].Stats())
 			}
 			if fs := ms[0].FusionStats(); fs.ByKind["add+yield+jmp"] < iters {
@@ -207,8 +210,99 @@ func TestFusedQuantumRotation(t *testing.T) {
 	}
 }
 
+// TestFusedOverflowFallsBackToGeneric runs programs with a pure block
+// whose register operand does not fit the fused encoding's int16 slots.
+// That block must stay unfused and run on the generic path, while its
+// fused neighbours keep the fused tier, and the whole run — completed
+// or trapped — must match the generic and reference paths bit for bit.
+func TestFusedOverflowFallsBackToGeneric(t *testing.T) {
+	const big = 40000 // > 0x7FFF
+	const iters = 50
+	// entry(const,const,jmp) -> L(add big,move,yield,jmp) ->
+	// M(cmplt,branch[L,done]) -> done(return big): entry and M fuse, L
+	// overflows.
+	loop := func() *ir.Program {
+		fb := ir.NewFunc("main", 0)
+		fb.M.NumRegs = big + 1
+		entry := fb.EntryBlock()
+		entry.Append(ir.Instr{Op: ir.OpConst, Dst: 1, Imm: 1})
+		entry.Append(ir.Instr{Op: ir.OpConst, Dst: 2, Imm: iters})
+		l := fb.Block("L")
+		m := fb.Block("M")
+		done := fb.Block("done")
+		entry.Append(ir.Instr{Op: ir.OpJump, Targets: []*ir.Block{l}})
+		l.Append(ir.Instr{Op: ir.OpAdd, Dst: big, A: big, B: 1})
+		l.Append(ir.Instr{Op: ir.OpMove, Dst: 4, A: big})
+		l.Append(ir.Instr{Op: ir.OpYield})
+		l.Append(ir.Instr{Op: ir.OpJump, Targets: []*ir.Block{m}})
+		m.Append(ir.Instr{Op: ir.OpCmpLT, Dst: 3, A: 4, B: 2})
+		m.Append(ir.Instr{Op: ir.OpBranch, A: 3, Targets: []*ir.Block{l, done}})
+		fb.At(done).Return(big)
+		p := &ir.Program{Name: "overflow-loop", Funcs: []*ir.Method{fb.M}, Main: fb.M}
+		p.Seal()
+		return p
+	}
+	// A single pure block that divides by an overflow register holding
+	// zero: the trap must come from the generic path.
+	trap := func() *ir.Program {
+		fb := ir.NewFunc("main", 0)
+		fb.M.NumRegs = big + 1
+		entry := fb.EntryBlock()
+		entry.Append(ir.Instr{Op: ir.OpConst, Dst: big, Imm: 0})
+		entry.Append(ir.Instr{Op: ir.OpConst, Dst: 1, Imm: 7})
+		entry.Append(ir.Instr{Op: ir.OpDiv, Dst: 2, A: 1, B: big})
+		done := fb.Block("done")
+		entry.Append(ir.Instr{Op: ir.OpJump, Targets: []*ir.Block{done}})
+		fb.At(done).Return(2)
+		p := &ir.Program{Name: "overflow-trap", Funcs: []*ir.Method{fb.M}, Main: fb.M}
+		p.Seal()
+		return p
+	}
+
+	t.Run("loop", func(t *testing.T) {
+		ms, rs, errs := tripleRun(t, loop, vm.Config{MaxCycles: 1 << 20, Quantum: 3})
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("config %d: %v", i, err)
+			}
+		}
+		for i := 1; i < 3; i++ {
+			if rs[i].Return != rs[0].Return || rs[i].Stats != rs[0].Stats {
+				t.Fatalf("config %d diverges from fused:\n  fused: ret=%d %+v\n  other: ret=%d %+v",
+					i, rs[0].Return, rs[0].Stats, rs[i].Return, rs[i].Stats)
+			}
+		}
+		if rs[0].Return != iters {
+			t.Fatalf("return %d, want %d", rs[0].Return, iters)
+		}
+		// Only entry (3 instructions, once) and M (2 per iteration) run
+		// fused; L's 4 per iteration and the return run generic.
+		fs := ms[0].FusionStats()
+		if fs.FusedBlocks != 2 {
+			t.Errorf("FusedBlocks = %d, want 2 (entry and M; L overflows)", fs.FusedBlocks)
+		}
+		if want := uint64(3 + 2*iters); fs.Instrs != want {
+			t.Errorf("fused tier ran %d instructions, want %d", fs.Instrs, want)
+		}
+		if total := rs[0].Stats.Instrs; total != uint64(3+6*iters+1) {
+			t.Errorf("run executed %d instructions, want %d", total, 3+6*iters+1)
+		}
+	})
+	t.Run("trap", func(t *testing.T) {
+		ms, _, errs := tripleRun(t, trap, vm.Config{MaxCycles: 1 << 20})
+		requireIdenticalStop(t, ms, errs, "division by zero")
+		if !strings.Contains(errs[0].Error(), "division by zero") {
+			t.Fatalf("trap %q, want division by zero", errs[0])
+		}
+		if fs := ms[0].FusionStats(); fs.FusedBlocks != 0 || fs.Instrs != 0 {
+			t.Errorf("overflow block fused anyway: %+v", fs)
+		}
+	})
+}
+
 // noopObserver is the cheapest possible observer: its mere installation
-// must disable fusion (graceful degradation) without changing results.
+// must disable fusion (graceful degradation) without changing results,
+// which makes it the way tests select the generic path.
 type noopObserver struct{}
 
 func (noopObserver) OnEnter(*vm.Thread, *vm.Frame)                    {}
@@ -219,7 +313,7 @@ func (noopObserver) OnProbe(*vm.Thread, *vm.Frame, *ir.Probe)         {}
 func (noopObserver) OnYield(*vm.Thread, *vm.Frame)                    {}
 
 // TestObserverDisablesFusion pins the degradation choice documented in
-// DESIGN.md §12: FusionAuto with an observer installed runs zero fused
+// DESIGN.md §12: a run with an observer installed runs zero fused
 // blocks, and the observed run's results still match the fused run.
 func TestObserverDisablesFusion(t *testing.T) {
 	prog := latchLoop(100)
@@ -275,9 +369,9 @@ func TestFusedFractionCompress(t *testing.T) {
 // fusion-smoke`: random programs (threaded and not) across a variant
 // subset, healthy and cancelled, fused always compared bit-for-bit
 // against the reference dispatcher. It subsumes nothing — the broad
-// differential tests already run both fusion modes — but gives CI a
-// single -run target that forces fusion through every variation under
-// -race.
+// differential tests already run the fused and generic paths — but
+// gives CI a single -run target that forces fusion through every
+// variation under -race.
 func TestFusionDifferentialSweep(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
@@ -295,8 +389,8 @@ func TestFusionDifferentialSweep(t *testing.T) {
 			}
 			for _, pi := range picks {
 				v := variants[pi]
-				ref, refRT, rerr := diffRun(t, prog, v, seed, true, vm.FusionAuto)
-				fast, fastRT, ferr := diffRun(t, prog, v, seed, false, vm.FusionAuto)
+				ref, refRT, rerr := diffRun(t, prog, v, seed, true, nil)
+				fast, fastRT, ferr := diffRun(t, prog, v, seed, false, nil)
 				if (ferr == nil) != (rerr == nil) {
 					t.Fatalf("%s: fused err %v, reference err %v", v.name, ferr, rerr)
 				}

@@ -113,8 +113,9 @@ func TestFuseBlockMatching(t *testing.T) {
 }
 
 // TestFuseBlockOperandOverflow checks the encoding bail-out: a register
-// beyond int16 keeps the whole block on the pure tier rather than
-// truncating silently.
+// beyond int16 leaves the whole block unfused, so it runs on the generic
+// path rather than truncating silently (run-level check:
+// TestFusedOverflowFallsBackToGeneric).
 func TestFuseBlockOperandOverflow(t *testing.T) {
 	b := fuseTestBlock(t, []ir.Instr{
 		{Op: ir.OpConst, Dst: 40000, Imm: 1},

@@ -44,10 +44,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 	instrs := f.Block.Instrs
 	pc := f.PC
 	scale := f.costScale
-	if pc == 0 && scale == 1 && v.blockInfo[f.Block.GID].pure {
+	if fb := v.fuse[f.Block.GID]; fb != nil && pc == 0 && scale == 1 {
 		var sched bool
 		var err error
-		cycles, icount, sched, err = v.runLinear(t, f, cycles, icount)
+		cycles, icount, sched, err = v.runFusedBlocks(t, f, fb, cycles, icount)
 		if err != nil {
 			return false, err
 		}
@@ -192,10 +192,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			if cycles > limit {
 				return false, v.trapBudgetAt(t, cycles, icount)
 			}
-			if scale == 1 && v.blockInfo[nf.Block.GID].pure {
+			if fb := v.fuse[nf.Block.GID]; fb != nil && scale == 1 {
 				var sched bool
 				var perr error
-				cycles, icount, sched, perr = v.runLinear(t, f, cycles, icount)
+				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
 				if perr != nil {
 					return false, perr
 				}
@@ -229,10 +229,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			if cycles > limit {
 				return false, v.trapBudgetAt(t, cycles, icount)
 			}
-			if scale == 1 && v.blockInfo[nf.Block.GID].pure {
+			if fb := v.fuse[nf.Block.GID]; fb != nil && scale == 1 {
 				var sched bool
 				var perr error
-				cycles, icount, sched, perr = v.runLinear(t, f, cycles, icount)
+				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
 				if perr != nil {
 					return false, perr
 				}
@@ -341,10 +341,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			if cycles > limit {
 				return false, v.trapBudgetAt(t, cycles, icount)
 			}
-			if scale == 1 && v.blockInfo[b.GID].pure {
+			if fb := v.fuse[b.GID]; fb != nil && scale == 1 {
 				var sched bool
 				var perr error
-				cycles, icount, sched, perr = v.runLinear(t, f, cycles, icount)
+				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
 				if perr != nil {
 					return false, perr
 				}
@@ -375,10 +375,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			if cycles > limit {
 				return false, v.trapBudgetAt(t, cycles, icount)
 			}
-			if scale == 1 && v.blockInfo[b.GID].pure {
+			if fb := v.fuse[b.GID]; fb != nil && scale == 1 {
 				var sched bool
 				var perr error
-				cycles, icount, sched, perr = v.runLinear(t, f, cycles, icount)
+				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
 				if perr != nil {
 					return false, perr
 				}
@@ -421,10 +421,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			if cycles > limit {
 				return false, v.trapBudgetAt(t, cycles, icount)
 			}
-			if scale == 1 && v.blockInfo[b.GID].pure {
+			if fb := v.fuse[b.GID]; fb != nil && scale == 1 {
 				var sched bool
 				var perr error
-				cycles, icount, sched, perr = v.runLinear(t, f, cycles, icount)
+				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
 				if perr != nil {
 					return false, perr
 				}
@@ -457,10 +457,10 @@ func (v *VM) runThread(t *Thread) (bool, error) {
 			if cycles > limit {
 				return false, v.trapBudgetAt(t, cycles, icount)
 			}
-			if scale == 1 && v.blockInfo[b.GID].pure {
+			if fb := v.fuse[b.GID]; fb != nil && scale == 1 {
 				var sched bool
 				var perr error
-				cycles, icount, sched, perr = v.runLinear(t, f, cycles, icount)
+				cycles, icount, sched, perr = v.runFusedBlocks(t, f, fb, cycles, icount)
 				if perr != nil {
 					return false, perr
 				}

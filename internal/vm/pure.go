@@ -1,49 +1,26 @@
 package vm
 
-import (
-	"fmt"
+import "instrsample/internal/ir"
 
-	"instrsample/internal/ir"
-)
+// Pure blocks are the unit of the fast path's block-granular cost
+// accounting. A pure block whose operands fit the fused encoding runs on
+// the fused tier (fuse.go), which charges the whole block's cycle cost
+// and instruction count at the terminator instead of per instruction;
+// the block's prefix sums reconstruct the exact per-instruction counters
+// at every early exit (trap, cancellation, quantum-expired yieldpoint),
+// so nothing observable changes. Every other block runs on the generic
+// path (interp.go).
 
-// blockInfo is the per-block side table behind the fast path's
-// block-granular cost accounting, indexed by ir.Block.GID. For a pure
-// block the interpreter charges the whole block's cycle cost and
-// instruction count at the terminator instead of per instruction; the
-// prefix sums reconstruct the exact per-instruction counters at every
-// early exit (trap, quantum-expired yieldpoint), so nothing observable
-// changes. See runPureBlocks.
-type blockInfo struct {
-	// pure marks blocks whose every instruction is plain computation
-	// (no calls, checks, probes, spawns or joins) and whose terminator
-	// is a jump or branch.
-	pure bool
-	// total is the summed cycle cost of the whole block at cost scale 1.
-	total uint64
-	// count is len(Instrs).
-	count uint64
-	// prefix[i] is the summed cycle cost of Instrs[:i]; prefix[count] ==
-	// total. Only populated for pure blocks.
-	prefix []uint64
-	// fb is the block's fused stream (fuse.go), nil when the block is
-	// unfused or fusion is disabled. It lives here so the fused
-	// dispatcher's tier check and block transfer load one side-table
-	// entry instead of three parallel slices.
-	fb *fusedBlock
-}
-
-// buildBlockInfo computes the block side table for the program under the
-// VM's cost model. Called once per VM, lazily from Run.
-//
-// A program mutated after its last Seal can carry stale or colliding
-// GIDs. The table must never charge one block with another block's
-// costs, so GIDs are validated first (in-range and collision-free); on
-// any violation every block is left non-pure, which keeps the whole run
-// on the always-correct per-instruction path.
-func (v *VM) buildBlockInfo() {
-	size := v.prog.NumBlocks()
-	valid := true
-	for _, m := range v.prog.Methods() {
+// validGIDs sizes the GID-indexed side table for the program and
+// reports whether its GIDs can be trusted. A program mutated after its
+// last Seal can carry stale or colliding GIDs. The table must never
+// charge one block with another block's costs, so GIDs are validated
+// first (in-range and collision-free); on any violation no block may be
+// batched, which keeps the whole run on the always-correct
+// per-instruction path.
+func validGIDs(prog *ir.Program) (size int, valid bool) {
+	size, valid = prog.NumBlocks(), true
+	for _, m := range prog.Methods() {
 		for _, b := range m.Blocks {
 			if b.GID < 0 {
 				valid = false
@@ -53,52 +30,25 @@ func (v *VM) buildBlockInfo() {
 			}
 		}
 	}
-	v.blockInfo = make([]blockInfo, size)
-	if valid {
-		seen := make([]bool, size)
-		for _, m := range v.prog.Methods() {
-			for _, b := range m.Blocks {
-				if seen[b.GID] {
-					valid = false
-				}
-				seen[b.GID] = true
-			}
-		}
-	}
 	if !valid {
-		return
+		return size, false
 	}
-	// An installed observer must see every block transfer; pure-block
-	// batching would hide the intra-chain ones, so it is disabled by
-	// leaving every block non-pure. The generic dispatch then emits a
-	// hook at each transfer (the Observer cost contract).
-	if v.obs != nil {
-		return
-	}
-	for _, m := range v.prog.Methods() {
+	seen := make([]bool, size)
+	for _, m := range prog.Methods() {
 		for _, b := range m.Blocks {
-			bi := &v.blockInfo[b.GID]
-			bi.pure = pureBlock(b)
-			if !bi.pure {
-				continue
+			if seen[b.GID] {
+				return size, false
 			}
-			pre := make([]uint64, len(b.Instrs)+1)
-			var sum uint64
-			for i := range b.Instrs {
-				sum += uint64(v.costTab[b.Instrs[i].Op])
-				pre[i+1] = sum
-			}
-			bi.prefix = pre
-			bi.total = sum
-			bi.count = uint64(len(b.Instrs))
+			seen[b.GID] = true
 		}
 	}
+	return size, true
 }
 
-// pureBlock reports whether every instruction in b is handled by
-// runPureBlocks: plain computation plus yieldpoints, ending in a jump or
-// branch. Anything that can switch frames, poll the sample trigger, or
-// run a probe disqualifies the block.
+// pureBlock reports whether every instruction in b can run on the fused
+// tier: plain computation plus yieldpoints, ending in a jump or branch.
+// Anything that can switch frames, poll the sample trigger, or run a
+// probe disqualifies the block.
 func pureBlock(b *ir.Block) bool {
 	n := len(b.Instrs)
 	if n == 0 {
@@ -126,226 +76,11 @@ func pureBlock(b *ir.Block) bool {
 	return op == ir.OpJump || op == ir.OpBranch
 }
 
-// runPureBlocks executes a chain of pure blocks starting at f.Block
-// (which must be pure, with f.PC == 0 and cost scale 1), charging cycles
-// and instruction counts a block at a time from the blockInfo table.
-// It returns the updated local counters plus how the caller should
-// proceed: err != nil means trap (counters already flushed), sched means
-// runThread should return (true, nil) (counters already flushed), and
-// otherwise dispatch continues in the generic loop at f.Block/f.PC.
-//
-// Within a block, cost additions that merely accumulate (OpIO, the
-// OpNewArray zeroing charge) are applied immediately; they commute with
-// the deferred block charge, so every observation point still sees the
-// reference-exact value. Early exits charge prefix[pc+1]: the cost of
-// every instruction up to and including the current one, matching the
-// reference's charge-before-execute order.
-func (v *VM) runPureBlocks(t *Thread, f *Frame, cycles, icount uint64) (uint64, uint64, bool, error) {
-	regs := f.Regs
-	limit := v.cfg.MaxCycles
-	quantum := v.quantum
-	bi := &v.blockInfo[f.Block.GID]
-	instrs := f.Block.Instrs
-	pc := 0
-	for {
-		in := &instrs[pc]
-		switch in.Op {
-		case ir.OpNop:
-
-		case ir.OpConst:
-			regs[in.Dst] = Value{I: in.Imm}
-		case ir.OpMove:
-			regs[in.Dst] = regs[in.A]
-
-		case ir.OpAdd:
-			regs[in.Dst] = Value{I: regs[in.A].I + regs[in.B].I}
-		case ir.OpSub:
-			regs[in.Dst] = Value{I: regs[in.A].I - regs[in.B].I}
-		case ir.OpMul:
-			regs[in.Dst] = Value{I: regs[in.A].I * regs[in.B].I}
-		case ir.OpDiv:
-			d := regs[in.B].I
-			if d == 0 {
-				return v.pureTrap(t, f, pc, bi.prefix, cycles, icount, quantum, "division by zero")
-			}
-			regs[in.Dst] = Value{I: regs[in.A].I / d}
-		case ir.OpRem:
-			d := regs[in.B].I
-			if d == 0 {
-				return v.pureTrap(t, f, pc, bi.prefix, cycles, icount, quantum, "remainder by zero")
-			}
-			regs[in.Dst] = Value{I: regs[in.A].I % d}
-		case ir.OpAnd:
-			regs[in.Dst] = Value{I: regs[in.A].I & regs[in.B].I}
-		case ir.OpOr:
-			regs[in.Dst] = Value{I: regs[in.A].I | regs[in.B].I}
-		case ir.OpXor:
-			regs[in.Dst] = Value{I: regs[in.A].I ^ regs[in.B].I}
-		case ir.OpShl:
-			regs[in.Dst] = Value{I: regs[in.A].I << (uint64(regs[in.B].I) & 63)}
-		case ir.OpShr:
-			regs[in.Dst] = Value{I: regs[in.A].I >> (uint64(regs[in.B].I) & 63)}
-		case ir.OpNeg:
-			regs[in.Dst] = Value{I: -regs[in.A].I}
-		case ir.OpNot:
-			regs[in.Dst] = Value{I: ^regs[in.A].I}
-
-		case ir.OpCmpEQ:
-			regs[in.Dst] = boolVal(cmpValues(regs[in.A], regs[in.B]) == 0)
-		case ir.OpCmpNE:
-			regs[in.Dst] = boolVal(cmpValues(regs[in.A], regs[in.B]) != 0)
-		case ir.OpCmpLT:
-			regs[in.Dst] = boolVal(regs[in.A].I < regs[in.B].I)
-		case ir.OpCmpLE:
-			regs[in.Dst] = boolVal(regs[in.A].I <= regs[in.B].I)
-		case ir.OpCmpGT:
-			regs[in.Dst] = boolVal(regs[in.A].I > regs[in.B].I)
-		case ir.OpCmpGE:
-			regs[in.Dst] = boolVal(regs[in.A].I >= regs[in.B].I)
-
-		case ir.OpClassOf:
-			o := regs[in.A].R
-			if o == nil {
-				return v.pureTrap(t, f, pc, bi.prefix, cycles, icount, quantum, "classof on null")
-			}
-			if o.Class != nil {
-				regs[in.Dst] = Value{I: int64(o.Class.ID)}
-			} else {
-				regs[in.Dst] = Value{I: -1}
-			}
-		case ir.OpNew:
-			regs[in.Dst] = RefVal(NewInstance(in.Class))
-		case ir.OpGetField:
-			o := regs[in.A].R
-			if o == nil || o.Fields == nil {
-				return v.pureTrap(t, f, pc, bi.prefix, cycles, icount, quantum, "getfield on null or non-object")
-			}
-			regs[in.Dst] = o.Fields[in.FieldSlot()]
-		case ir.OpPutField:
-			o := regs[in.B].R
-			if o == nil || o.Fields == nil {
-				return v.pureTrap(t, f, pc, bi.prefix, cycles, icount, quantum, "putfield on null or non-object")
-			}
-			o.Fields[in.FieldSlot()] = regs[in.A]
-		case ir.OpNewArray:
-			n := regs[in.A].I
-			if n < 0 || n > 1<<28 {
-				return v.pureTrap(t, f, pc, bi.prefix, cycles, icount, quantum, fmt.Sprintf("newarray with length %d", n))
-			}
-			regs[in.Dst] = RefVal(NewArray(int(n)))
-			// Charge a small per-element cost for zeroing.
-			cycles += uint64(n) / 8
-		case ir.OpArrayLoad:
-			a := regs[in.A].R
-			if a == nil || a.Elems == nil {
-				return v.pureTrap(t, f, pc, bi.prefix, cycles, icount, quantum, "aload on null or non-array")
-			}
-			i := regs[in.B].I
-			if i < 0 || i >= int64(len(a.Elems)) {
-				return v.pureTrap(t, f, pc, bi.prefix, cycles, icount, quantum, fmt.Sprintf("aload index %d out of range [0,%d)", i, len(a.Elems)))
-			}
-			regs[in.Dst] = a.Elems[i]
-		case ir.OpArrayStore:
-			a := regs[in.Dst].R
-			if a == nil || a.Elems == nil {
-				return v.pureTrap(t, f, pc, bi.prefix, cycles, icount, quantum, "astore on null or non-array")
-			}
-			i := regs[in.B].I
-			if i < 0 || i >= int64(len(a.Elems)) {
-				return v.pureTrap(t, f, pc, bi.prefix, cycles, icount, quantum, fmt.Sprintf("astore index %d out of range [0,%d)", i, len(a.Elems)))
-			}
-			a.Elems[i] = regs[in.A]
-		case ir.OpArrayLen:
-			a := regs[in.A].R
-			if a == nil || a.Elems == nil {
-				return v.pureTrap(t, f, pc, bi.prefix, cycles, icount, quantum, "alen on null or non-array")
-			}
-			regs[in.Dst] = Value{I: int64(len(a.Elems))}
-
-		case ir.OpIO:
-			cycles += uint64(in.Imm)
-		case ir.OpPrint:
-			v.output = append(v.output, regs[in.A].I)
-
-		case ir.OpYield:
-			v.stats.Yields++
-			if v.cancelled() {
-				// Reconstruct the exact per-instruction counters for the
-				// partial block (charge-before-execute, like pureTrap),
-				// so the stop point is identical to the generic paths'.
-				f.PC = pc
-				cycles += bi.prefix[pc+1]
-				icount += uint64(pc) + 1
-				v.quantum = quantum
-				return cycles, icount, false, v.stopCancelled(cycles, icount)
-			}
-			quantum--
-			if quantum <= 0 && v.runq.len() > 1 {
-				f.PC = pc + 1
-				cycles += bi.prefix[pc+1]
-				icount += uint64(pc) + 1
-				v.quantum = quantum
-				v.cycles, v.stats.Instrs = cycles, icount
-				return cycles, icount, true, nil
-			}
-
-		case ir.OpJump:
-			cycles += bi.total
-			icount += bi.count
-			v.countBackedge(in, 0)
-			b := in.Targets[0]
-			f.Block, f.PC = b, 0
-			if v.ic != nil {
-				v.cycles = cycles
-				v.touchCode(b)
-				cycles = v.cycles
-			}
-			if cycles > limit {
-				v.quantum = quantum
-				return cycles, icount, false, v.trapBudgetAt(t, cycles, icount)
-			}
-			nbi := &v.blockInfo[b.GID]
-			if !nbi.pure {
-				v.quantum = quantum
-				return cycles, icount, false, nil
-			}
-			bi, instrs, pc = nbi, b.Instrs, 0
-			continue
-		case ir.OpBranch:
-			cycles += bi.total
-			icount += bi.count
-			i := 1
-			if regs[in.A].I != 0 {
-				i = 0
-			}
-			v.countBackedge(in, i)
-			b := in.Targets[i]
-			f.Block, f.PC = b, 0
-			if v.ic != nil {
-				v.cycles = cycles
-				v.touchCode(b)
-				cycles = v.cycles
-			}
-			if cycles > limit {
-				v.quantum = quantum
-				return cycles, icount, false, v.trapBudgetAt(t, cycles, icount)
-			}
-			nbi := &v.blockInfo[b.GID]
-			if !nbi.pure {
-				v.quantum = quantum
-				return cycles, icount, false, nil
-			}
-			bi, instrs, pc = nbi, b.Instrs, 0
-			continue
-		}
-		pc++
-	}
-}
-
-// pureTrap is the cold trap exit of runPureBlocks: it reconstructs the
-// exact per-instruction counters for the partially executed block,
-// flushes everything the generic paths keep current, and builds the
-// trap.
+// pureTrap is the cold trap exit of the fused tier: it reconstructs the
+// exact per-instruction counters for the partially executed block
+// (charge-before-execute: prefix[pc+1] covers every instruction up to
+// and including the faulting one), flushes everything the generic path
+// keeps current, and builds the trap.
 func (v *VM) pureTrap(t *Thread, f *Frame, pc int, prefix []uint64, cycles, icount uint64, quantum int, reason string) (uint64, uint64, bool, error) {
 	cycles += prefix[pc+1]
 	icount += uint64(pc) + 1
