@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: ci fmt vet build test race bench bench-short experiments \
 	clean-cache fuzz fuzz-smoke mutation-check telemetry-smoke \
-	service-smoke soak soak-smoke soak-fleet doc-lint fusion-smoke \
+	service-smoke soak soak-smoke doc-lint fusion-smoke \
 	scenario-smoke obs-smoke fleet-smoke stress
 
 ci: fmt vet doc-lint build test race fuzz-smoke mutation-check telemetry-smoke \
@@ -88,13 +88,13 @@ obs-smoke:
 	$(GO) test -race -run '^(TestObsFullMergedTrace|TestObsLedgerSumEqualsJobLatency|TestObsChainCompleted)$$' \
 		./internal/service/
 
-# Sustained soak: a 30-second seeded mixed-traffic run against a
-# self-hosted daemon, gates asserted in code, BENCH_PR6.json emitted by
-# the harness itself (see BENCHMARKING.md). Deterministic plan: the same
-# seed+mix replays the same job sequence, and the report records its
-# SHA-256.
+# Sustained soak (not in ci): a 30-second seeded mixed-traffic run
+# against a self-hosted daemon that exits non-zero when a gate is
+# violated (see BENCHMARKING.md). Deterministic plan: the same seed+mix
+# replays the same job sequence, and the summary prints its SHA-256.
+# Performance numbers come from perfbench, not from this target.
 soak:
-	$(GO) run ./cmd/isampload -duration 30s -o BENCH_PR6.json
+	$(GO) run ./cmd/isampload -duration 30s
 
 # Soak smoke for ci: a few-second seeded soak on an ephemeral port under
 # -race with the regression gates enforced — exact gates (zero failed
@@ -124,15 +124,6 @@ stress:
 		echo "stress: GOMAXPROCS=$$p"; \
 		GOMAXPROCS=$$p $(GO) test -count=20 $(STRESS_PKGS) || exit 1; \
 	done
-
-# Fleet soak (not in ci — see BENCHMARKING.md on this host's core count):
-# the self-hosted scaling A/B behind BENCH_PR10.json — the same seeded
-# soak against 1-worker and 4-worker self-hosted fleets, plus a
-# worker-kill recovery leg.
-soak-fleet:
-	$(GO) run ./cmd/isampload -fleet-ab -workers 4 -duration 20s -pr 10 \
-		-title "Fleet scaling A/B: isampfleet coordinator over 1 vs 4 isampd workers" \
-		-o BENCH_PR10.json
 
 # Doc lint: every internal package must open with a package comment that
 # cross-links its DESIGN.md section, so the design doc and the code
@@ -175,8 +166,8 @@ scenario-smoke:
 		echo "scenario-smoke: internal/scenario coverage $$cov% below 80% floor"; exit 1; fi; \
 	echo "scenario coverage $$cov% (floor 80%)"
 
-# Full benchmark sweep (slow). BENCH_*.json snapshots in the repo root
-# record curated before/after numbers from these benchmarks.
+# Full benchmark sweep (slow). The performance record is perfbench
+# (BENCHMARKING.md); the BENCH_*.json files in the repo root are history.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 

@@ -12,10 +12,6 @@
 package instrsample_test
 
 import (
-	"context"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,7 +25,6 @@ import (
 	"instrsample/internal/instr"
 	"instrsample/internal/ir"
 	"instrsample/internal/oracle"
-	"instrsample/internal/service"
 	"instrsample/internal/telemetry"
 	"instrsample/internal/trigger"
 	"instrsample/internal/vm"
@@ -499,43 +494,3 @@ func BenchmarkInterpreterCancelArmed(b *testing.B) {
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "M-instrs/sec")
 }
-
-// --- daemon throughput ---
-
-// benchDaemonThroughput pushes b.N unique tiny jobs through the full
-// HTTP submit path into a Server with the given worker-pool size and
-// measures end-to-end jobs/sec: JSON validation, queue, worker dispatch,
-// compile, VM run, terminal-state accounting. Sources are unique per job
-// so neither the memo table nor the cache short-circuits the work.
-func benchDaemonThroughput(b *testing.B, workers int) {
-	s := service.New(service.Config{Workers: workers, QueueDepth: b.N + 1})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
-	h := s.Handler()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		body := fmt.Sprintf(`{"source":"func main() {\nentry:\n  const i, 0\n  const n, %d\n  const one, 1\nloop:\n  cmplt c, i, n\n  br c, body, done\nbody:\n  add i, i, one\n  jmp loop\ndone:\n  ret i\n}\n"}`, 1000+i)
-		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusAccepted {
-			b.Fatalf("submit %d: status %d: %s", i, rec.Code, rec.Body)
-		}
-	}
-	reg := s.Registry()
-	for reg.Counter(service.MetricJobsCompleted).Value() < uint64(b.N) {
-		if f := reg.Counter(service.MetricJobsFailed).Value(); f > 0 {
-			b.Fatalf("%d jobs failed", f)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
-}
-
-func BenchmarkDaemonThroughput1(b *testing.B) { benchDaemonThroughput(b, 1) }
-func BenchmarkDaemonThroughput4(b *testing.B) { benchDaemonThroughput(b, 4) }
-func BenchmarkDaemonThroughput8(b *testing.B) { benchDaemonThroughput(b, 8) }

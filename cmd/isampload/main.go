@@ -1,12 +1,13 @@
-// Command isampload is the sustained-load / soak harness for isampd:
-// it expands a deterministic, seeded traffic mix into a job sequence
+// Command isampload is the soak gate for isampd: it expands a
+// deterministic, seeded traffic mix into a job sequence
 // (internal/load.Plan), drives a live daemon with concurrent HTTP
 // clients for the configured duration — cache-hit reuse, mid-flight
 // cancellations, SSE subscribers with slow readers, 429-retry backoff —
-// and asserts the machine-checked regression gates, writing the
-// BENCH_*.json report itself.
+// and checks the machine-checked regression gates. It prints a summary
+// and the gate verdicts and writes no report: the performance record is
+// perfbench (BENCHMARKING.md).
 //
-//	isampload -duration 30s -o BENCH_PR6.json   # self-host a daemon, 30s soak
+//	isampload -duration 30s                     # self-host a daemon, 30s soak
 //	isampload -addr http://127.0.0.1:8347       # soak an external daemon
 //	isampload -mix mix.json                     # replay a recorded traffic mix
 //	isampload -print-plan -ops 50               # show the expanded op sequence
@@ -43,20 +44,22 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	if _, _, err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "isampload:", err)
 		os.Exit(1)
 	}
 }
 
 // errGates marks a run whose measurements violated the gate budget; the
-// soak itself completed, so the report is still written before main
-// turns this into a non-zero exit.
+// soak itself completed, so the summary and verdicts are still printed
+// before main turns this into a non-zero exit.
 var errGates = errors.New("gates violated")
 
 // run is main minus the process concerns: flags in args, output on the
-// given writers, lifetime bounded by ctx. Tests call it directly.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+// given writers, lifetime bounded by ctx. Tests call it directly and
+// read the soak's measurements and gate verdicts from its results
+// (both nil for -print-plan).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (*load.Result, []load.GateResult, error) {
 	fs := flag.NewFlagSet("isampload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	defGates := load.DefaultGates()
@@ -70,15 +73,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		mixPath   = fs.String("mix", "", "traffic-mix JSON file (default: the built-in DefaultMix)")
 		duration  = fs.Duration("duration", 30*time.Second, "submission window; in-flight ops still drain after it")
 		clients   = fs.Int("clients", 8, "concurrent HTTP client workers")
-		out       = fs.String("o", "", "write the BENCH_*.json report here (empty: report only to stdout summary)")
-		pr        = fs.Int("pr", 6, "PR number stamped into the report")
-		title     = fs.String("title", "Seeded mixed-traffic soak via internal/load", "report title")
-		notes     = fs.String("notes", "", "free-form notes stamped into the report")
 		printPlan = fs.Bool("print-plan", false, "print the expanded op sequence as JSON and exit")
-
-		fleetN   = fs.Int("workers", 0, "self-host an isampfleet coordinator over N isampd workers instead of a single daemon (0 = single daemon; incompatible with -addr)")
-		fleetAB  = fs.Bool("fleet-ab", false, "scaling A/B: soak the same plan against 1-worker and N-worker (-workers) self-hosted fleets, killing one worker mid-run on the fleet leg")
-		minScale = fs.Float64("min-scaling", 2.5, "gate (-fleet-ab): fleet/single-worker jobs-per-sec ratio floor (0 disables)")
 
 		minTput      = fs.Float64("min-throughput", defGates.MinThroughputJobsPerSec, "gate: terminal jobs/sec floor (0 disables)")
 		maxP99       = fs.Uint64("max-p99-ms", defGates.MaxP99Ms, "gate: accepted→terminal p99 ceiling in ms (0 disables)")
@@ -89,36 +84,37 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		quiet        = fs.Bool("q", false, "suppress progress lines")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, nil, err
 	}
 
 	mix := load.DefaultMix(*seed, *ops)
 	if *mixPath != "" {
 		f, err := os.Open(*mixPath)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		m, err := load.ReadMix(f)
 		f.Close()
 		if err != nil {
-			return fmt.Errorf("%s: %w", *mixPath, err)
+			return nil, nil, fmt.Errorf("%s: %w", *mixPath, err)
 		}
 		mix = m
 	} else if err := mix.Validate(); err != nil {
-		return err
+		return nil, nil, err
 	}
 	plan, err := load.Plan(mix)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
+	hash := load.PlanHash(plan)
 	if *printPlan {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(plan); err != nil {
-			return err
+			return nil, nil, err
 		}
-		fmt.Fprintf(stdout, "// plan_hash %s\n", load.PlanHash(plan))
-		return nil
+		fmt.Fprintf(stdout, "// plan_hash %s\n", hash)
+		return nil, nil, nil
 	}
 
 	logf := func(format string, a ...any) {
@@ -127,73 +123,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	if *fleetAB {
-		if *addr != "" {
-			return errors.New("-fleet-ab self-hosts its fleets; -addr is incompatible")
-		}
-		if *fleetN < 2 {
-			return errors.New("-fleet-ab needs -workers >= 2")
-		}
-		mode, merr := obs.ParseMode(*selfObs)
-		if merr != nil {
-			return fmt.Errorf("-self-obs: %w", merr)
-		}
-		return runFleetAB(ctx, plan, mix, fleetABOptions{
-			workers:   *fleetN,
-			perWorker: *selfJ,
-			queue:     *selfQueue,
-			clients:   *clients,
-			duration:  *duration,
-			mode:      mode,
-			gates: load.Gates{
-				MinThroughputJobsPerSec: *minTput,
-				MaxP99Ms:                *maxP99,
-				MaxCancelP99Ms:          *maxCancelP99,
-				MaxQueueWaitP99Ms:       *maxQueueP99,
-				MaxLeakedGoroutines:     *maxLeaked,
-				MinSubmitted:            *minSubmitted,
-			},
-			minScale: *minScale,
-			pr:       *pr,
-			title:    *title,
-			notes:    *notes,
-			out:      *out,
-			logf:     logf,
-		}, stdout)
-	}
-
 	baseURL := *addr
-	var shutdown func()
 	if baseURL == "" {
 		mode, merr := obs.ParseMode(*selfObs)
 		if merr != nil {
-			return fmt.Errorf("-self-obs: %w", merr)
+			return nil, nil, fmt.Errorf("-self-obs: %w", merr)
 		}
-		if *fleetN > 0 {
-			baseURL, _, shutdown, err = selfHostFleet(*fleetN, *selfJ, *selfQueue, mode, logf)
-			if err != nil {
-				return err
-			}
-			defer shutdown()
-			if err := waitFleetUp(baseURL, *fleetN, 15*time.Second); err != nil {
-				return err
-			}
-			logf("self-hosted fleet on %s (coordinator + %d workers, %d slots each, queue %d, obs %s)",
-				baseURL, *fleetN, *selfJ, *selfQueue, mode)
-		} else {
-			baseURL, shutdown, err = selfHost(*selfJ, *selfQueue, mode)
-			if err != nil {
-				return err
-			}
-			defer shutdown()
-			logf("self-hosted daemon on %s (%d workers, queue %d, obs %s)", baseURL, *selfJ, *selfQueue, mode)
+		var shutdown func()
+		baseURL, shutdown, err = selfHost(*selfJ, *selfQueue, mode)
+		if err != nil {
+			return nil, nil, err
 		}
-	} else if *fleetN > 0 {
-		return errors.New("-workers self-hosts a fleet; -addr is incompatible")
+		defer shutdown()
+		logf("self-hosted daemon on %s (%d workers, queue %d, obs %s)", baseURL, *selfJ, *selfQueue, mode)
 	}
 
 	logf("soak: %d planned ops (hash %s), %d clients, %s window",
-		len(plan), load.PlanHash(plan)[:12], *clients, *duration)
+		len(plan), hash[:12], *clients, *duration)
 	res, err := load.Run(ctx, plan, load.Options{
 		BaseURL:  baseURL,
 		Clients:  *clients,
@@ -201,7 +147,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Logf:     logf,
 	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 
 	gates := load.Gates{
@@ -213,25 +159,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		MinSubmitted:            *minSubmitted,
 	}
 	verdicts := gates.Check(res)
-	rep := load.NewReport(*pr, *title, mix, plan, res, verdicts, *notes)
 
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		logf("report written to %s", *out)
-	}
-
-	fmt.Fprintf(stdout, "soak: %d submitted, %d done, %d cancelled (+%d races), %d failed, %d×429, %.1f jobs/s, p50/p99 %d/%dms, cancel p99 %dms, queue max %d, leaked goroutines %d\n",
-		res.Counts.Submitted, res.Counts.Done,
+	fmt.Fprintf(stdout, "soak: plan %s, %d submitted, %d done, %d cancelled (+%d races), %d failed, %d×429, %.1f jobs/s, p50/p99 %d/%dms, cancel p99 %dms, queue max %d, leaked goroutines %d\n",
+		hash, res.Counts.Submitted, res.Counts.Done,
 		res.Counts.CancelRequested+res.Counts.Cancelled, res.Counts.CancelRaces,
 		res.Counts.Failed, res.Counts.Rejected429, res.ThroughputJobsPerSec,
 		res.JobLatencyMs.P50, res.JobLatencyMs.P99, res.CancelLatencyMs.P99,
@@ -249,10 +179,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "gate %-24s %s %g\t(got %g)\t%s\n", g.Name, g.Op, g.Bound, g.Value, mark)
 	}
 	if !load.AllOK(verdicts) {
-		return errGates
+		return res, verdicts, errGates
 	}
 	fmt.Fprintln(stdout, "all gates passed")
-	return nil
+	return res, verdicts, nil
 }
 
 // selfHost boots an in-process service.Server on an ephemeral port and

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,18 +41,16 @@ func smokeMix(t *testing.T, seed int64, ops int) (load.Mix, string) {
 // the 429-retry path runs on every host, however fast or wide.
 func TestSoakSmoke(t *testing.T) {
 	mix, mixPath := smokeMix(t, 1, 600)
-	out := filepath.Join(t.TempDir(), "bench.json")
 	var stdout, stderr bytes.Buffer
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	err := run(ctx, []string{
+	res, verdicts, err := run(ctx, []string{
 		"-mix", mixPath,
 		"-duration", "2500ms",
 		"-clients", "6",
 		"-self-j", "1",
 		"-self-queue", "4",
-		"-o", out,
 		"-min-throughput", "3",
 		"-max-p99-ms", "30000",
 		"-max-cancel-p99-ms", "10000",
@@ -60,44 +59,23 @@ func TestSoakSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("soak failed: %v\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
 	}
-
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		PR        int               `json:"pr"`
-		PlanHash  string            `json:"plan_hash"`
-		BudgetMet bool              `json:"budget_met"`
-		Gates     []load.GateResult `json:"gates"`
-		Result    struct {
-			Counts      load.Counts `json:"counts"`
-			LedgerOps   int64       `json:"ledger_ops"`
-			QueueWaitUs struct {
-				Count uint64 `json:"count"`
-			} `json:"queue_wait_us"`
-		} `json:"result"`
-	}
-	if err := json.Unmarshal(b, &rep); err != nil {
-		t.Fatalf("report is not JSON: %v", err)
-	}
-	if !rep.BudgetMet {
-		t.Errorf("report says budget_met=false despite run() success\nstdout:\n%s", stdout.String())
+	if !load.AllOK(verdicts) {
+		t.Errorf("gates violated despite run() success\nstdout:\n%s", stdout.String())
 	}
 
-	// End-to-end determinism receipt: the report's plan hash must match
-	// an independent expansion of the same mix file.
+	// End-to-end determinism receipt: the plan hash on the summary line
+	// must match an independent expansion of the same mix file.
 	plan, err := load.Plan(mix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.PlanHash != load.PlanHash(plan) {
-		t.Errorf("report plan_hash %s != recomputed %s", rep.PlanHash, load.PlanHash(plan))
+	if want := "soak: plan " + load.PlanHash(plan) + ","; !strings.Contains(stdout.String(), want) {
+		t.Errorf("summary lacks the recomputed plan hash %q\nstdout:\n%s", want, stdout.String())
 	}
 
 	// The smoke must have exercised the interesting traffic classes, not
 	// merely submitted trivial jobs.
-	c := rep.Result.Counts
+	c := res.Counts
 	if c.Submitted == 0 {
 		t.Fatal("no jobs submitted")
 	}
@@ -112,16 +90,16 @@ func TestSoakSmoke(t *testing.T) {
 	}
 
 	// The self-hosted daemon runs at -self-obs spans by default, so the
-	// report carries server-side attribution ledgers and the queue-wait
+	// run carries server-side attribution ledgers and the queue-wait
 	// gate must have engaged (not passed vacuously).
-	if rep.Result.LedgerOps == 0 {
+	if res.LedgerOps == 0 {
 		t.Error("no attribution ledgers captured from the obs-enabled daemon")
 	}
-	if rep.Result.QueueWaitUs.Count == 0 {
+	if res.QueueWaitUs.Count == 0 {
 		t.Error("ledgers captured but no queue-wait observations")
 	}
 	gated := false
-	for _, g := range rep.Gates {
+	for _, g := range verdicts {
 		if g.Name == "queue_wait_p99_ms" {
 			gated = true
 		}
@@ -129,7 +107,7 @@ func TestSoakSmoke(t *testing.T) {
 	if !gated {
 		t.Error("queue_wait_p99_ms gate did not engage")
 	}
-	t.Logf("smoke: %+v, ledgers %d", c, rep.Result.LedgerOps)
+	t.Logf("smoke: %+v, ledgers %d", c, res.LedgerOps)
 }
 
 // TestPrintPlanDeterministic checks the CLI plan path: two -print-plan
@@ -139,7 +117,7 @@ func TestPrintPlanDeterministic(t *testing.T) {
 	outs := make([]string, 2)
 	for i := range outs {
 		var stdout, stderr bytes.Buffer
-		if err := run(context.Background(), []string{"-mix", mixPath, "-print-plan"}, &stdout, &stderr); err != nil {
+		if _, _, err := run(context.Background(), []string{"-mix", mixPath, "-print-plan"}, &stdout, &stderr); err != nil {
 			t.Fatalf("print-plan: %v\n%s", err, stderr.String())
 		}
 		outs[i] = stdout.String()
@@ -153,23 +131,24 @@ func TestPrintPlanDeterministic(t *testing.T) {
 }
 
 // TestGateFailureExit checks that a violated gate surfaces as errGates —
-// the CLI's non-zero exit — while the report is still written.
+// the CLI's non-zero exit — while the verdicts are still printed.
 func TestGateFailureExit(t *testing.T) {
 	_, mixPath := smokeMix(t, 2, 80)
-	out := filepath.Join(t.TempDir(), "bench.json")
 	var stdout, stderr bytes.Buffer
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	err := run(ctx, []string{
+	_, verdicts, err := run(ctx, []string{
 		"-mix", mixPath,
 		"-duration", "500ms",
-		"-o", out,
 		"-min-throughput", "1e9", // unreachable floor
 	}, &stdout, &stderr)
 	if err != errGates {
 		t.Fatalf("want errGates, got %v\nstdout:\n%s", err, stdout.String())
 	}
-	if _, err := os.Stat(out); err != nil {
-		t.Errorf("report not written on gate failure: %v", err)
+	if load.AllOK(verdicts) {
+		t.Errorf("errGates returned but every verdict held: %+v", verdicts)
+	}
+	if !strings.Contains(stdout.String(), "VIOLATED") {
+		t.Errorf("violated gate not printed\nstdout:\n%s", stdout.String())
 	}
 }

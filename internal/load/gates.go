@@ -1,7 +1,5 @@
 package load
 
-import "fmt"
-
 // Gates are the machine-checked floors and ceilings a soak must respect.
 // Zero-valued bounds disable the corresponding gate, except the
 // always-on exact gates (failed jobs, leaked goroutines), whose bound is
@@ -103,21 +101,4 @@ func AllOK(gates []GateResult) bool {
 		}
 	}
 	return true
-}
-
-// Describe renders the gate list as one budget string for reports and
-// logs.
-func Describe(gates []GateResult) string {
-	s := ""
-	for i, g := range gates {
-		if i > 0 {
-			s += "; "
-		}
-		mark := "ok"
-		if !g.OK {
-			mark = "VIOLATED"
-		}
-		s += fmt.Sprintf("%s %s %g (got %g, %s)", g.Name, g.Op, g.Bound, g.Value, mark)
-	}
-	return s
 }

@@ -7,20 +7,20 @@
 // exercise the memo/cache path, mid-flight cancellations, SSE
 // subscribers including deliberately slow readers, and 429-retry
 // backoff — and checks the measured outcome against machine-verified
-// regression gates (Gates), emitting a BENCH_*.json report (Report) so
-// the repository's performance trajectory is generated artifact, not
-// hand transcription.
+// regression gates (Gates). The performance record itself is perfbench
+// (BENCHMARKING.md), which reuses Mix and Plan for its daemon workloads.
 //
 // Determinism contract: Plan is a pure function of the Mix (seed
 // included) — an identical seed+mix yields an identical job-spec
-// sequence, byte for byte (the report records the plan's SHA-256 so two
-// runs can prove they replayed the same traffic). Wall-clock execution
-// of the plan is of course timing-dependent; everything the gates assert
-// is either a rate, a quantile, or an exact invariant (zero leaked
-// goroutines, zero failed jobs) that must hold at any interleaving.
+// sequence, byte for byte (PlanHash is its SHA-256, printed by
+// isampload and recorded by perfbench, so two runs can prove they
+// replayed the same traffic). Wall-clock execution of the plan is of
+// course timing-dependent; everything the gates assert is either a
+// rate, a quantile, or an exact invariant (zero leaked goroutines, zero
+// failed jobs) that must hold at any interleaving.
 //
 // See DESIGN.md §11 for the architecture, BENCHMARKING.md for the gate
-// definitions and how reports are read, and cmd/isampload for the CLI.
+// definitions, and cmd/isampload for the CLI.
 package load
 
 import (

@@ -209,7 +209,7 @@ func TestGates(t *testing.T) {
 	}
 	g := DefaultGates()
 	if res := g.Check(ok); !AllOK(res) {
-		t.Errorf("healthy result violated gates: %s", Describe(res))
+		t.Errorf("healthy result violated gates: %+v", res)
 	}
 
 	for name, mutate := range map[string]func(*Result){
@@ -224,7 +224,7 @@ func TestGates(t *testing.T) {
 		bad := *ok
 		mutate(&bad)
 		if res := g.Check(&bad); AllOK(res) {
-			t.Errorf("gate %q did not trip: %s", name, Describe(res))
+			t.Errorf("gate %q did not trip: %+v", name, res)
 		}
 	}
 
@@ -234,44 +234,6 @@ func TestGates(t *testing.T) {
 	for _, gr := range g.Check(&none) {
 		if gr.Name == "cancel_latency_p99_ms" {
 			t.Error("cancel gate asserted with zero observations")
-		}
-	}
-}
-
-// TestReportEnvelope: the generated report must carry the established
-// BENCH_*.json envelope fields and a verifiable plan hash.
-func TestReportEnvelope(t *testing.T) {
-	mix := DefaultMix(3, 50)
-	ops, err := Plan(mix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := &Result{ThroughputJobsPerSec: 50, Counts: Counts{Submitted: 50}}
-	gates := DefaultGates().Check(res)
-	rep := NewReport(6, "soak", mix, ops, res, gates, "test")
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("report is not JSON: %v", err)
-	}
-	for _, key := range []string{
-		"pr", "title", "host", "methodology", "mix", "plan_ops",
-		"plan_hash", "result", "gates", "budget", "budget_met",
-	} {
-		if _, ok := doc[key]; !ok {
-			t.Errorf("report missing envelope field %q", key)
-		}
-	}
-	if doc["plan_hash"] != PlanHash(ops) {
-		t.Error("report plan_hash does not match the plan")
-	}
-	if doc["budget_met"] != false { // throughput ok but submitted-floor etc.
-		// budget_met is whatever the gates said; just assert it is a bool
-		if _, ok := doc["budget_met"].(bool); !ok {
-			t.Errorf("budget_met is %T, want bool", doc["budget_met"])
 		}
 	}
 }

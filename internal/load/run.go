@@ -122,22 +122,17 @@ type Health struct {
 	HeapBytes   uint64 `json:"heap_bytes"`
 }
 
-// Result is everything a run measured; Gates.Check consumes it and the
-// report embeds it.
+// Result is everything a run measured; Gates.Check and the isampload
+// summary consume it.
 type Result struct {
-	Elapsed time.Duration `json:"-"`
-	// ElapsedSec is the submission+drain wall time in seconds.
-	ElapsedSec float64 `json:"elapsed_sec"`
-	Counts     Counts  `json:"counts"`
+	Counts Counts `json:"counts"`
 	// ThroughputJobsPerSec is terminal ops per second of submission
 	// window.
 	ThroughputJobsPerSec float64 `json:"throughput_jobs_per_sec"`
 	// JobLatencyMs summarizes accepted→terminal latency of non-cancel
-	// ops; CancelLatencyMs the DELETE→terminal latency of cancel ops;
-	// SubmitLatencyUs the POST round-trip.
+	// ops; CancelLatencyMs the DELETE→terminal latency of cancel ops.
 	JobLatencyMs    telemetry.Summary `json:"job_latency_ms"`
 	CancelLatencyMs telemetry.Summary `json:"cancel_latency_ms"`
-	SubmitLatencyUs telemetry.Summary `json:"submit_latency_us"`
 	// LedgerOps counts terminal ops whose job view carried an attribution
 	// ledger (daemon running with -obs spans/full); QueueWaitUs and
 	// RunStageUs summarize those ledgers' queue-wait and vm-run stage
@@ -146,13 +141,9 @@ type Result struct {
 	LedgerOps   int64             `json:"ledger_ops"`
 	QueueWaitUs telemetry.Summary `json:"queue_wait_us"`
 	RunStageUs  telemetry.Summary `json:"run_stage_us"`
-	// QueueDepthMax/QueueDepthSamples come from scraping the daemon's
-	// /metrics gauge during the run.
-	QueueDepthMax     int64 `json:"queue_depth_max"`
-	QueueDepthSamples int   `json:"queue_depth_samples"`
-	// WindowsJobsPerSec is the per-second completion rate over the
-	// submission window — the soak's throughput trajectory.
-	WindowsJobsPerSec []float64 `json:"windows_jobs_per_sec"`
+	// QueueDepthMax is the peak of the daemon's /metrics queue_depth
+	// gauge, scraped during the run.
+	QueueDepthMax int64 `json:"queue_depth_max"`
 	// Baseline/AfterDrain are the pre-load and post-drain health
 	// snapshots; LeakedGoroutines = AfterDrain - Baseline goroutines
 	// (the leak gate wants 0 — the settle loop retries until the
@@ -174,14 +165,9 @@ type runner struct {
 		sync.Mutex
 		list []string
 	}
-	windows struct {
-		sync.Mutex
-		counts []int64
-	}
 	start     time.Time
 	deadline  time.Time
 	queueMax  atomic.Int64
-	queueN    atomic.Int64
 	ledgerOps atomic.Int64
 	sse       sync.WaitGroup
 }
@@ -246,21 +232,17 @@ func Run(ctx context.Context, ops []Op, opt Options) (*Result, error) {
 	after := r.settle(ctx, baseline)
 
 	res := &Result{
-		Elapsed:           elapsed,
-		ElapsedSec:        elapsed.Seconds(),
-		Counts:            r.cnt,
-		JobLatencyMs:      r.reg.Histogram("load.job_latency_ms", nil).Summarize(),
-		CancelLatencyMs:   r.reg.Histogram("load.cancel_latency_ms", nil).Summarize(),
-		SubmitLatencyUs:   r.reg.Histogram("load.submit_latency_us", nil).Summarize(),
-		LedgerOps:         r.ledgerOps.Load(),
-		QueueWaitUs:       r.reg.Histogram("load.queue_wait_us", nil).Summarize(),
-		RunStageUs:        r.reg.Histogram("load.run_stage_us", nil).Summarize(),
-		QueueDepthMax:     r.queueMax.Load(),
-		QueueDepthSamples: int(r.queueN.Load()),
-		Baseline:          baseline,
-		AfterDrain:        after,
-		LeakedGoroutines:  after.Goroutines - baseline.Goroutines,
-		Errors:            r.errs.list,
+		Counts:           r.cnt,
+		JobLatencyMs:     r.reg.Histogram("load.job_latency_ms", nil).Summarize(),
+		CancelLatencyMs:  r.reg.Histogram("load.cancel_latency_ms", nil).Summarize(),
+		LedgerOps:        r.ledgerOps.Load(),
+		QueueWaitUs:      r.reg.Histogram("load.queue_wait_us", nil).Summarize(),
+		RunStageUs:       r.reg.Histogram("load.run_stage_us", nil).Summarize(),
+		QueueDepthMax:    r.queueMax.Load(),
+		Baseline:         baseline,
+		AfterDrain:       after,
+		LeakedGoroutines: after.Goroutines - baseline.Goroutines,
+		Errors:           r.errs.list,
 	}
 	if res.LeakedGoroutines < 0 {
 		res.LeakedGoroutines = 0
@@ -269,11 +251,6 @@ func Run(ctx context.Context, ops []Op, opt Options) (*Result, error) {
 	if s := elapsed.Seconds(); s > 0 {
 		res.ThroughputJobsPerSec = float64(terminal) / s
 	}
-	r.windows.Lock()
-	for _, n := range r.windows.counts {
-		res.WindowsJobsPerSec = append(res.WindowsJobsPerSec, float64(n))
-	}
-	r.windows.Unlock()
 	return res, nil
 }
 
@@ -308,7 +285,6 @@ func (r *runner) executeOp(ctx context.Context, op Op) {
 	default:
 		atomic.AddInt64(&r.cnt.Failed, 1)
 	}
-	r.recordWindow()
 }
 
 // submit POSTs the op's spec, retrying 429 pushback until the window
@@ -324,7 +300,6 @@ func (r *runner) submit(ctx context.Context, op Op) (string, bool) {
 			atomic.AddInt64(&r.cnt.Abandoned, 1)
 			return "", false
 		}
-		t0 := time.Now()
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 			r.opt.BaseURL+"/v1/jobs", bytes.NewReader(body))
 		if err != nil {
@@ -346,8 +321,6 @@ func (r *runner) submit(ctx context.Context, op Op) (string, bool) {
 		resp.Body.Close()
 		switch resp.StatusCode {
 		case http.StatusAccepted:
-			r.reg.Histogram("load.submit_latency_us", telemetry.ExpBuckets(1, 26)).
-				Observe(uint64(time.Since(t0).Microseconds()))
 			atomic.AddInt64(&r.cnt.Submitted, 1)
 			return rb.ID, true
 		case http.StatusTooManyRequests:
@@ -400,7 +373,6 @@ func (r *runner) cancelOp(ctx context.Context, id string, op Op) {
 	} else {
 		atomic.AddInt64(&r.cnt.CancelRaces, 1)
 	}
-	r.recordWindow()
 }
 
 // pollTerminal polls the job until it reaches a terminal state, with a
@@ -512,17 +484,6 @@ func (r *runner) recordLedger(l *obs.Ledger) {
 	}
 }
 
-// recordWindow bumps the current 1-second completion bucket.
-func (r *runner) recordWindow() {
-	idx := int(time.Since(r.start).Seconds())
-	r.windows.Lock()
-	for len(r.windows.counts) <= idx {
-		r.windows.counts = append(r.windows.counts, 0)
-	}
-	r.windows.counts[idx]++
-	r.windows.Unlock()
-}
-
 var queueDepthRe = regexp.MustCompile(`(?m)^queue_depth (-?\d+)$`)
 
 // sampleQueueDepth scrapes the daemon's Prometheus gauge on a cadence.
@@ -550,7 +511,6 @@ func (r *runner) sampleQueueDepth(ctx context.Context, stop <-chan struct{}) {
 		resp.Body.Close()
 		if m := queueDepthRe.FindSubmatch(buf.Bytes()); m != nil {
 			if d, err := strconv.ParseInt(string(m[1]), 10, 64); err == nil {
-				r.queueN.Add(1)
 				for {
 					cur := r.queueMax.Load()
 					if d <= cur || r.queueMax.CompareAndSwap(cur, d) {

@@ -307,36 +307,6 @@ func (tr *Trace) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ChromeEvents converts every thread's retained events to Chrome trace
-// events under the given pid, including thread_name metadata rows. Each
-// event's cycle timestamp is mapped through ts into the document's
-// microsecond domain; a nil ts is identity (one cycle renders as 1µs,
-// the WriteChromeTrace convention). This is the building block for
-// merged documents that put VM events and wall-clock service spans on
-// one timeline: the caller supplies a ts that aligns the cycle clock to
-// wall time for the run the trace recorded.
-func (tr *Trace) ChromeEvents(pid int, ts func(cycle uint64) uint64) []ChromeEvent {
-	if ts == nil {
-		ts = func(c uint64) uint64 { return c }
-	}
-	events := make([]ChromeEvent, 0, 64)
-	for tid := range tr.rings {
-		events = append(events, ChromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]any{"name": threadName(tid)},
-		})
-	}
-	for _, r := range tr.rings {
-		for _, e := range r.events() {
-			ce := chromeFor(e)
-			ce.Pid = pid
-			ce.Ts = ts(ce.Ts)
-			events = append(events, ce)
-		}
-	}
-	return events
-}
-
 // chromeFor converts one recorded event (pid 1, cycle-as-µs timestamps).
 func chromeFor(e Event) ChromeEvent {
 	method := ""
